@@ -25,9 +25,11 @@ object AcidLayout {
   private val DeleteDeltaRe = raw"delete_delta_(\d+)_(\d+)".r
 
   sealed trait Dir { def path: File }
+  /** A delta or delete delta: the records of WriteIds [lo, hi]. */
+  sealed trait RangeDir extends Dir { def lo: Long; def hi: Long }
   final case class BaseDir(path: File, writeId: Long) extends Dir
-  final case class DeltaDir(path: File, lo: Long, hi: Long) extends Dir
-  final case class DeleteDeltaDir(path: File, lo: Long, hi: Long) extends Dir
+  final case class DeltaDir(path: File, lo: Long, hi: Long) extends RangeDir
+  final case class DeleteDeltaDir(path: File, lo: Long, hi: Long) extends RangeDir
 
   def baseName(w: Long): String = s"base_$w"
   def deltaName(lo: Long, hi: Long): String = s"delta_${lo}_$hi"

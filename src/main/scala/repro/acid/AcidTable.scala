@@ -3,7 +3,7 @@ package repro.acid
 import java.io.File
 import java.nio.file.{Files, StandardCopyOption}
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -17,12 +17,20 @@ import AcidLayout._
   * stored with every record. INSERT writes a `delta_w_w` directory; DELETE
   * writes delete markers referencing target row ids into `delete_delta_w_w`;
   * UPDATE is split into a delete plus an insert under the same WriteId, and
-  * MERGE combines all three. Readers bind a [[WriteIdList]] snapshot, skip
-  * records of invisible writes, and anti-join the visible delete deltas.
+  * MERGE combines all three. Transaction state lives in the metastore's
+  * [[repro.metastore.TxnStore]], which hands readers a [[WriteIdList]].
+  *
+  * Every read, and both compactions, go through one snapshot scan: for each
+  * store directory it picks the base and deltas to read, then reads all of
+  * them with a single Parquet scan whose schema comes from the catalog (no
+  * inference), filters visibility with a native column expression that
+  * Parquet can push down, and anti-joins a second such scan over the delete
+  * deltas on the row-id columns.
   *
   * For partitioned tables each partition value owns a sub-directory
   * (`col=value/`) holding its own base/delta stores, which is what makes
-  * partition pruning — static or dynamic — a directory skip.
+  * partition pruning — static or dynamic — a directory skip. Files never
+  * store the partition column; scans derive it from the directory name.
   */
 object AcidTable {
   /** Stride between file-id batches; supports up to ~1M Spark partitions
@@ -30,6 +38,14 @@ object AcidTable {
   val FileBatchStride: Long = 1L << 20
   private val fileBatch = new java.util.concurrent.atomic.AtomicLong(0L)
   private[acid] def nextFileBatch(): Long = fileBatch.incrementAndGet()
+
+  /** The visibility rule of a [[WriteIdList]] as a native column expression:
+    * `w <= hwm AND NOT w IN (invalid)`. Unlike a UDF it reaches the Parquet
+    * reader as a pushed filter and compiles with whole-stage codegen. */
+  private[acid] def visible(snap: WriteIdList, w: Column): Column = {
+    val upToHwm = w <= snap.highWatermark
+    if (snap.invalid.isEmpty) upToHwm else upToHwm && !w.isin(snap.invalid.toSeq.sorted: _*)
+  }
 }
 
 final class AcidTable(val catalog: Catalog, val name: String) {
@@ -50,9 +66,7 @@ final class AcidTable(val catalog: Catalog, val name: String) {
     * Returns the WriteId used. */
   def insert(txn: Long, df: DataFrame): Long = {
     val w = store.allocateWriteId(txn, name)
-    val withIds = assignRowIds(conform(df), w)
-    val parts = writeToStore(withIds, deltaName(w, w))
-    parts.foreach(p => store.recordWriteSet(txn, name, p, WriteKind.Insert))
+    writeDelta(txn, w, df, WriteKind.Insert)
     w
   }
 
@@ -80,9 +94,7 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       val n = writeDeleteMarkers(txn, w, victims)
       if (n > 0) {
         val updated = set.foldLeft(victims) { case (d, (c, expr)) => d.withColumn(c, expr) }
-        val withIds = assignRowIds(conform(updated.select(userColumns.map(col): _*)), w)
-        val parts = writeToStore(withIds, deltaName(w, w))
-        parts.foreach(p => store.recordWriteSet(txn, name, p, WriteKind.Update))
+        writeDelta(txn, w, updated.select(userColumns.map(col): _*), WriteKind.Update)
       }
       n
     } finally victims.unpersist()
@@ -115,16 +127,12 @@ final class AcidTable(val catalog: Catalog, val name: String) {
             // Qualify target columns explicitly: after the t/s join, bare
             // column names are ambiguous.
             val updatedCols = userColumns.map(c => matchedSet.getOrElse(c, col(s"t.$c")).as(c))
-            val rows = conform(matched.select(updatedCols: _*))
-            val parts = writeToStore(assignRowIds(rows, w), deltaName(w, w))
-            parts.foreach(p => store.recordWriteSet(txn, name, p, WriteKind.Update))
+            writeDelta(txn, w, matched.select(updatedCols: _*), WriteKind.Update)
           }
         }
         if (insertNotMatched) {
           val fresh = src.join(tgt, condition, "left_anti")
-          val rows = conform(fresh.select(userColumns.map(c => col(s"s.$c").as(c)): _*))
-          val parts = writeToStore(assignRowIds(rows, w), deltaName(w, w))
-          parts.foreach(p => store.recordWriteSet(txn, name, p, WriteKind.Insert))
+          writeDelta(txn, w, fresh.select(userColumns.map(c => col(s"s.$c").as(c)): _*), WriteKind.Insert)
         }
       } finally matched.unpersist()
     } finally src.unpersist()
@@ -146,16 +154,8 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       snap: WriteIdList,
       partitionFilter: Option[String => Boolean] = None,
       includeRowIds: Boolean = false)(implicit spark: SparkSession): DataFrame = {
-    val frames: Seq[DataFrame] = partitionCol match {
-      case None => readStore(root, snap, None).toSeq
-      case Some(pf) =>
-        val dirs = listPartitionDirs(root)
-          .filter(d => partitionFilter.forall(p => p(partitionValueOf(d))))
-        dirs.flatMap(d => readStore(d, snap, Some(pf -> partitionValueOf(d))))
-    }
-    val out = frames.reduceOption(_.unionByName(_)).getOrElse(emptyFrame(spark))
     val cols = userColumns ++ (if (includeRowIds) RowIdCols else Seq.empty)
-    out.select(cols.map(col): _*)
+    snapshotScan(snap, storeDirs(partitionFilter).flatMap(visibleDirs(_, snap))).select(cols.map(col): _*)
   }
 
   /** Convenience: read under a freshly acquired snapshot. */
@@ -172,39 +172,73 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   /** True when any delete markers landed after `fromWriteId` — the signal
     * that incremental (insert-only) maintenance is impossible. */
   def hasDeletesSince(fromWriteId: Long): Boolean =
-    storeDirs.exists { case (dir, _) =>
-      AcidLayout.list(dir).exists {
-        case d: AcidLayout.DeleteDeltaDir => d.hi > fromWriteId
-        case _                            => false
-      }
-    }
+    storeDirs().exists(dir => AcidLayout.list(dir).exists {
+      case d: DeleteDeltaDir => d.hi > fromWriteId
+      case _                 => false
+    })
 
   /** Number of partition directories that currently exist on disk. */
   def partitionDirCount: Int = listPartitionDirs(root).size
 
-  /** All store directories: the table root for unpartitioned tables, one
-    * entry per partition directory otherwise. Used by the compactor. */
-  private[acid] def storeDirs: Seq[(File, Option[String])] = partitionCol match {
-    case None    => Seq(root -> None)
-    case Some(_) => listPartitionDirs(root).map(d => d -> Some(partitionValueOf(d)))
-  }
-
-  private[acid] def tableDesc: TableDesc = desc
+  /** Store directories: the table root for unpartitioned tables, otherwise
+    * the partition directories whose value `partitionFilter` keeps. */
+  private[acid] def storeDirs(partitionFilter: Option[String => Boolean] = None): Seq[File] =
+    partitionCol match {
+      case None    => Seq(root)
+      case Some(_) => listPartitionDirs(root).filter(d => partitionFilter.forall(p => p(partitionValueOf(d))))
+    }
 
   /** Store directory count across the table — drives compaction thresholds. */
-  def storeDirCount: Int = partitionCol match {
-    case None => AcidLayout.list(root).size
-    case Some(_) => listPartitionDirs(root).map(d => AcidLayout.list(d).size).sum
+  def storeDirCount: Int = storeDirs().map(d => AcidLayout.list(d).size).sum
+
+  /** The directories of one store that `snap` can see: the newest base the
+    * snapshot fully covers, and the deltas and delete deltas above it. */
+  private def visibleDirs(store: File, snap: WriteIdList): Seq[Dir] = {
+    val dirs = AcidLayout.list(store)
+    val base = dirs
+      .collect { case b: BaseDir if b.writeId <= snap.highWatermark && !snap.invalid.exists(_ <= b.writeId) => b }
+      .maxByOption(_.writeId)
+    val floor = base.fold(0L)(_.writeId)
+    base.toSeq ++ dirs.collect { case d: RangeDir if d.hi > floor => d }
+  }
+
+  /** The single scan behind every read and both compactions: the rows of
+    * the base and delta directories in `dirs` that `snap` sees, minus those
+    * a visible marker in the delete deltas of `dirs` removes. Columns: data
+    * columns, row-id columns, then the partition column. */
+  private[acid] def snapshotScan(snap: WriteIdList, dirs: Seq[Dir])(
+      implicit spark: SparkSession): DataFrame = {
+    val dataFields = desc.schema.fields.toSeq.filterNot(f => partitionCol.contains(f)) ++
+      RowIdCols.map(StructField(_, LongType))
+    val rows = scan(snap, dirs.filterNot(_.isInstanceOf[DeleteDeltaDir]), dataFields, WriteIdCol)
+    val deletes = dirs.collect { case d: DeleteDeltaDir => d }
+    if (deletes.isEmpty) rows
+    else rows.join(markerScan(snap, deletes).select(RowIdCols.map(col): _*), RowIdCols, "left_anti")
+  }
+
+  /** The delete markers of `dirs` that `snap` sees: row-id columns, the
+    * deleting WriteId, then the partition column. */
+  private[acid] def markerScan(snap: WriteIdList, dirs: Seq[DeleteDeltaDir])(
+      implicit spark: SparkSession): DataFrame =
+    scan(snap, dirs, (RowIdCols :+ DeleteWriteIdCol).map(StructField(_, LongType)), DeleteWriteIdCol)
+
+  /** One Parquet scan over `dirs` with a schema the catalog supplies, so no
+    * Spark job infers it. `basePath` is the table root, so Spark derives the
+    * partition column from the `col=value` directories. Spark lists up to
+    * `spark.sql.sources.parallelPartitionDiscovery.threshold` directories
+    * (32 by default) on the driver; more cost one parallel listing job. */
+  private def scan(snap: WriteIdList, dirs: Seq[Dir], fields: Seq[StructField], writeIdCol: String)(
+      implicit spark: SparkSession): DataFrame = {
+    val schema = StructType(fields ++ partitionCol)
+    val files =
+      if (dirs.isEmpty) spark.createDataFrame(java.util.Collections.emptyList[Row](), schema)
+      else spark.read.schema(schema).option("basePath", root.getPath).parquet(dirs.map(_.path.getPath): _*)
+    files.select(schema.fieldNames.toSeq.map(col): _*).filter(AcidTable.visible(snap, col(writeIdCol)))
   }
 
   // ------------------------------------------------------------- internals
 
   private def partitionValueOf(dir: File): String = dir.getName.split("=", 2)(1)
-
-  private def emptyFrame(spark: SparkSession): DataFrame = {
-    val schema = StructType(desc.schema.fields ++ RowIdCols.map(StructField(_, LongType)))
-    spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], schema)
-  }
 
   /** Conforms a frame to the declared schema (order + types). */
   private def conform(df: DataFrame): DataFrame =
@@ -226,28 +260,46 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       .drop("__mid")
   }
 
-  /** Writes `df` into sub-directory `subdir` of the table (or of each
-    * partition for partitioned tables). Returns the partition values
-    * touched ("" for unpartitioned). */
-  private[acid] def writeToStore(df: DataFrame, subdir: String): Seq[String] =
+  /** Writes `rows` (user columns) as `delta_w_w` and records the partitions
+    * touched in the write set of `txn`. */
+  private def writeDelta(txn: Long, w: Long, rows: DataFrame, kind: WriteKind.Value): Unit =
+    writeToStore(assignRowIds(conform(rows), w), _ => deltaName(w, w))
+      .foreach(p => store.recordWriteSet(txn, name, p, kind))
+
+  /** Writes `df` into sub-directory `subdir(store)` of each store directory
+    * it touches: the table root, or one directory per partition value, whose
+    * column names the directory and is not stored in the files. When the
+    * target exists already (MERGE writes updates and inserts under one
+    * WriteId) the new files join it. Returns the partition values touched
+    * ("" for unpartitioned). */
+  private[acid] def writeToStore(df: DataFrame, subdir: File => String): Seq[String] =
     partitionCol match {
       case None =>
-        df.write.mode("append").parquet(new File(root, subdir).toString)
+        df.write.mode("append").parquet(new File(root, subdir(root)).toString)
         Seq("")
       case Some(pf) =>
-        val tmp = new File(root, s".tmp_${subdir}_${System.nanoTime()}")
+        val tmp = new File(root, s".tmp_${System.nanoTime()}")
         df.write.partitionBy(pf.name).parquet(tmp.toString)
-        val moved = Option(tmp.listFiles()).map(_.toSeq).getOrElse(Seq.empty)
-          .filter(d => d.isDirectory && d.getName.startsWith(s"${pf.name}="))
-          .map { pd =>
-            val target = new File(new File(root, pd.getName), subdir)
-            target.getParentFile.mkdirs()
-            Files.move(pd.toPath, target.toPath, StandardCopyOption.ATOMIC_MOVE)
-            partitionValueOf(pd)
-          }
+        val moved = listPartitionDirs(tmp).map { pd =>
+          val storeDir = new File(root, pd.getName)
+          moveInto(pd, new File(storeDir, subdir(storeDir)))
+          partitionValueOf(pd)
+        }
         deleteRecursively(tmp)
         catalog.addPartitions(name, moved)
         moved
+    }
+
+  /** Moves directory `src` to `target`, or its files into `target` when
+    * that exists. Spark names every part file after its write job, so the
+    * files of two writes never clash. */
+  private def moveInto(src: File, target: File): Unit =
+    if (target.exists())
+      src.listFiles().foreach(f =>
+        Files.move(f.toPath, new File(target, f.getName).toPath, StandardCopyOption.ATOMIC_MOVE))
+    else {
+      target.getParentFile.mkdirs()
+      Files.move(src.toPath, target.toPath, StandardCopyOption.ATOMIC_MOVE)
     }
 
   /** Writes delete markers for the victim rows; returns the victim count. */
@@ -263,82 +315,10 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       .cache()
     try {
       val n = markers.count()
-      if (n > 0) {
-        val parts = writeToStore2(markers, deleteDeltaName(w, w))
-        parts.foreach(p => store.recordWriteSet(txn, name, p, kind))
-      }
+      if (n > 0)
+        writeToStore(markers, _ => deleteDeltaName(w, w))
+          .foreach(p => store.recordWriteSet(txn, name, p, kind))
       n
     } finally markers.unpersist()
-  }
-
-  /** Like [[writeToStore]] but for delete-marker frames (row-id schema). */
-  private def writeToStore2(df: DataFrame, subdir: String): Seq[String] =
-    partitionCol match {
-      case None =>
-        df.write.mode("append").parquet(new File(root, subdir).toString)
-        Seq("")
-      case Some(pf) =>
-        val tmp = new File(root, s".tmp_${subdir}_${System.nanoTime()}")
-        df.write.partitionBy(pf.name).parquet(tmp.toString)
-        val moved = Option(tmp.listFiles()).map(_.toSeq).getOrElse(Seq.empty)
-          .filter(d => d.isDirectory && d.getName.startsWith(s"${pf.name}="))
-          .map { pd =>
-            val target = new File(new File(root, pd.getName), subdir)
-            target.getParentFile.mkdirs()
-            Files.move(pd.toPath, target.toPath, StandardCopyOption.ATOMIC_MOVE)
-            partitionValueOf(pd)
-          }
-        deleteRecursively(tmp)
-        moved
-    }
-
-  /** Reads one store directory (table root or a single partition dir) and
-    * returns 0 or 1 frames carrying user columns + row-id columns. */
-  private def readStore(
-      dir: File,
-      snap: WriteIdList,
-      partition: Option[(StructField, String)])(
-      implicit spark: SparkSession): Option[DataFrame] = {
-    val dirs = AcidLayout.list(dir)
-    if (dirs.isEmpty) return None
-
-    val bases = dirs.collect { case b: BaseDir => b }
-    val chosenBase = bases
-      .filter(b => b.writeId <= snap.highWatermark && !snap.invalid.exists(_ <= b.writeId))
-      .sortBy(_.writeId).lastOption
-    val floor = chosenBase.map(_.writeId).getOrElse(0L)
-
-    val deltas = dirs.collect { case d: DeltaDir if d.hi > floor => d }
-    val deleteDeltas = dirs.collect { case d: DeleteDeltaDir if d.hi > floor => d }
-
-    def readDir(f: File): DataFrame = spark.read.parquet(f.toString)
-
-    val visible = udf((w: Long) => snap.isVisible(w))
-    val dataFrames =
-      chosenBase.map(b => readDir(b.path)).toSeq ++ deltas.map(d => readDir(d.path))
-    if (dataFrames.isEmpty) return None
-
-    val dataCols = desc.schema.fields.toSeq
-      .filterNot(f => desc.partitionCol.contains(f.name))
-      .map(_.name) ++ RowIdCols
-    var data = dataFrames
-      .map(_.select(dataCols.map(col): _*))
-      .reduce(_.unionByName(_))
-      .filter(visible(col(WriteIdCol)))
-
-    if (deleteDeltas.nonEmpty) {
-      val dels = deleteDeltas
-        .map(d => readDir(d.path).select((RowIdCols :+ DeleteWriteIdCol).map(col): _*))
-        .reduce(_.unionByName(_))
-        .filter(visible(col(DeleteWriteIdCol)))
-        .select(RowIdCols.map(col): _*)
-      data = data.join(dels, RowIdCols, "left_anti")
-    }
-
-    val withPartition = partition match {
-      case Some((pf, value)) => data.withColumn(pf.name, lit(value).cast(pf.dataType))
-      case None              => data
-    }
-    Some(withPartition)
   }
 }

@@ -3,7 +3,6 @@ package repro.acid
 import java.io.File
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import AcidLayout._
 
@@ -14,7 +13,9 @@ import AcidLayout._
   * delete markers into a fresh `base_hi` and deletes history. Compaction
   * never blocks queries: new directories are written first and superseded
   * ones are removed in a separate *cleaning* phase, mirroring Hive's
-  * split between merging and cleaning.
+  * split between merging and cleaning. Each compaction reads all the
+  * directories it folds, across partitions, through the table's one
+  * snapshot scan, and writes data and row-id columns only.
   *
   * The compaction horizon `hi` is the highest WriteId below the lowest
   * write of any still-open transaction; records of aborted transactions at
@@ -28,12 +29,7 @@ final class Compactor(table: AcidTable) {
   /** Auto-trigger criterion used by HS2: compact when any store directory
     * accumulates at least `minDeltas` delta directories. */
   def shouldCompact(minDeltas: Int): Boolean =
-    table.storeDirs.exists { case (dir, _) =>
-      AcidLayout.list(dir).count {
-        case _: DeltaDir | _: DeleteDeltaDir => true
-        case _                               => false
-      } >= minDeltas
-    }
+    table.storeDirs().exists(dir => AcidLayout.list(dir).count(_.isInstanceOf[RangeDir]) >= minDeltas)
 
   /** Compaction horizon for this table: everything <= hi is stable. */
   private def horizon(): Long = {
@@ -47,30 +43,33 @@ final class Compactor(table: AcidTable) {
   def minorCompact()(implicit spark: SparkSession): Int = {
     val hi = horizon()
     val snap = table.currentSnapshot()
-    val visible = udf((w: Long) => snap.isVisible(w))
-    table.storeDirs.map { case (dir, _) =>
+    // per store: the stable deltas and delete deltas above its newest base
+    val stable = table.storeDirs().map { dir =>
       val dirs = AcidLayout.list(dir)
-      val baseFloor = dirs.collect { case b: BaseDir => b.writeId }.maxOption.getOrElse(0L)
-      val deltas = dirs.collect { case d: DeltaDir if d.lo > baseFloor && d.hi <= hi => d }
-      val dels = dirs.collect { case d: DeleteDeltaDir if d.lo > baseFloor && d.hi <= hi => d }
+      val floor = dirs.collect { case b: BaseDir => b.writeId }.maxOption.getOrElse(0L)
+      dir -> dirs.collect { case d: RangeDir if d.lo > floor && d.hi <= hi => d }
+    }
+    val deltas = merge(stable.map { case (dir, ds) => dir -> ds.collect { case d: DeltaDir => d } },
+      deltaName)(table.snapshotScan(snap, _))
+    val deletes = merge(stable.map { case (dir, ds) => dir -> ds.collect { case d: DeleteDeltaDir => d } },
+      deleteDeltaName)(table.markerScan(snap, _))
+    deltas + deletes
+  }
 
-      var cleaned = 0
-      if (deltas.size > 1) {
-        val lo = deltas.map(_.lo).min; val h = deltas.map(_.hi).max
-        mergeDirs(deltas.map(_.path), new File(dir, deltaName(lo, h)),
-          df => df.filter(visible(col(WriteIdCol))))
-        deltas.foreach(d => deleteRecursively(d.path))
-        cleaned += deltas.size
-      }
-      if (dels.size > 1) {
-        val lo = dels.map(_.lo).min; val h = dels.map(_.hi).max
-        mergeDirs(dels.map(_.path), new File(dir, deleteDeltaName(lo, h)),
-          df => df.filter(visible(col(DeleteWriteIdCol))))
-        dels.foreach(d => deleteRecursively(d.path))
-        cleaned += dels.size
-      }
-      cleaned
-    }.sum
+  /** Rewrites the directories of every store holding more than one as one
+    * `name(lo, hi)` directory spanning their range, reading them all with
+    * one scan; returns the number of directories merged away. */
+  private def merge[D <: RangeDir](
+      runs: Seq[(File, Seq[D])],
+      name: (Long, Long) => String)(
+      rows: Seq[D] => DataFrame): Int = {
+    val merging = runs.filter(_._2.size > 1).toMap
+    if (merging.nonEmpty) {
+      val names = merging.map { case (dir, ds) => dir -> name(ds.map(_.lo).min, ds.map(_.hi).max) }
+      table.writeToStore(rows(merging.values.flatten.toSeq), names)
+      merging.values.flatten.foreach(d => deleteRecursively(d.path))
+    }
+    merging.values.map(_.size).sum
   }
 
   /** Runs major compaction on every store directory, then purges aborted
@@ -78,50 +77,21 @@ final class Compactor(table: AcidTable) {
   def majorCompact()(implicit spark: SparkSession): Unit = {
     val hi = horizon()
     if (hi <= 0) return
-    val snap = table.currentSnapshot()
-    val visible = udf((w: Long) => snap.isVisible(w))
-    table.storeDirs.foreach { case (dir, _) =>
+    val folded = table.storeDirs().flatMap { dir =>
       val dirs = AcidLayout.list(dir)
-      val bases = dirs.collect { case b: BaseDir => b }
-      val baseFloor = bases.map(_.writeId).maxOption.getOrElse(0L)
-      if (baseFloor < hi || dirs.exists {
-            case d: DeltaDir       => d.hi > baseFloor
-            case d: DeleteDeltaDir => d.hi > baseFloor
-            case _                 => false
-          }) {
-        val chosen = bases.filter(_.writeId <= hi).sortBy(_.writeId).lastOption
-        val floor = chosen.map(_.writeId).getOrElse(0L)
-        val deltas = dirs.collect { case d: DeltaDir if d.hi > floor && d.hi <= hi => d }
-        val delDirs = dirs.collect { case d: DeleteDeltaDir if d.hi > floor && d.hi <= hi => d }
-
-        val parts = chosen.map(_.path).toSeq ++ deltas.map(_.path)
-        // hi == floor means nothing stable beyond the existing base: skip.
-        if (hi > floor && parts.nonEmpty) {
-          var data = parts
-            .map(p => spark.read.parquet(p.toString))
-            .reduce(_.unionByName(_))
-            .filter(visible(col(WriteIdCol)))
-          if (delDirs.nonEmpty) {
-            val markers = delDirs
-              .map(p => spark.read.parquet(p.path.toString))
-              .reduce(_.unionByName(_))
-              .filter(visible(col(DeleteWriteIdCol)))
-              .select(RowIdCols.map(col): _*)
-            data = data.join(markers, RowIdCols, "left_anti")
-          }
-          data.write.parquet(new File(dir, baseName(hi)).toString)
-          // cleaning phase: drop everything the new base supersedes
-          (chosen.toSeq.map(_.path) ++ deltas.map(_.path) ++ delDirs.map(_.path))
-            .foreach(deleteRecursively)
-        }
-      }
+      val base = dirs.collect { case b: BaseDir if b.writeId <= hi => b }.maxByOption(_.writeId)
+      val floor = base.fold(0L)(_.writeId)
+      val deltas = dirs.collect { case d: RangeDir if d.hi > floor && d.hi <= hi => d }
+      // hi == floor means nothing stable beyond the existing base: skip.
+      if (hi > floor && (base.nonEmpty || deltas.exists(_.isInstanceOf[DeltaDir])))
+        base.toSeq ++ deltas
+      else Seq.empty
+    }
+    if (folded.nonEmpty) {
+      table.writeToStore(table.snapshotScan(table.currentSnapshot(), folded), _ => baseName(hi))
+      // cleaning phase: drop everything the new bases supersede
+      folded.foreach(d => deleteRecursively(d.path))
     }
     store.forgetAbortedWrites(table.name, hi)
-  }
-
-  private def mergeDirs(src: Seq[File], target: File, transform: DataFrame => DataFrame)(
-      implicit spark: SparkSession): Unit = {
-    val merged = src.map(p => spark.read.parquet(p.toString)).reduce(_.unionByName(_))
-    transform(merged).write.parquet(target.toString)
   }
 }

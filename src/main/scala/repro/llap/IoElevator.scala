@@ -10,7 +10,15 @@ import repro.util.BloomFilter
   * (range + Bloom filter) pushed down at runtime (§4.6, §5.1). */
 sealed trait Sarg { def column: String }
 final case class SargEquals(column: String, value: Double) extends Sarg
-final case class SargRange(column: String, lo: Double, hi: Double) extends Sarg
+/** `lo <= column <= hi`; either bound is strict when its flag is false,
+  * the way `NumDom` models intervals. */
+final case class SargRange(
+    column: String, lo: Double, hi: Double,
+    loIncl: Boolean = true, hiIncl: Boolean = true) extends Sarg {
+  /** True when some value in [mn, mx] satisfies the range. */
+  def overlaps(mn: Double, mx: Double): Boolean =
+    (hi > mn || (hiIncl && hi == mn)) && (lo < mx || (loIncl && lo == mx))
+}
 final case class SargIn(column: String, values: Set[Long]) extends Sarg
 /** A semijoin reducer: min/max range plus a Bloom filter over the join keys
   * produced by the filtered dimension subexpression. */
@@ -92,7 +100,7 @@ final class IoElevator(val cache: ChunkCache, val metaCache: MetaCache) {
             case SargEquals(_, v) =>
               v >= mn && v <= mx &&
                 idx.bloom.forall(_.mightContain(v.toLong))
-            case SargRange(_, lo, hi) => hi >= mn && lo <= mx
+            case r: SargRange => r.overlaps(mn, mx)
             case SargIn(_, vs) =>
               vs.exists(v => v >= mn && v <= mx &&
                 idx.bloom.forall(_.mightContain(v)))

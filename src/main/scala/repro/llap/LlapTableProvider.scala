@@ -99,13 +99,16 @@ private object LlapScanBuilder {
     }
     def integral(c: String): Boolean =
       schema.fields.find(_.name == c).exists(f => ColumnVec.isIntegral(f.dataType))
+    // Bounds and row-group stats are doubles. Beyond 2^53 neighbouring longs
+    // share a double, so a strict bound there stays inclusive.
+    def exact(d: Double): Boolean = math.abs(d) < 9007199254740992.0
 
     val out = filters.flatMap { f =>
       val sarg: Option[Sarg] = f match {
         case sources.EqualTo(c, v)            => num(v).map(SargEquals(c, _))
-        case sources.GreaterThan(c, v)        => num(v).map(SargRange(c, _, Double.MaxValue))
+        case sources.GreaterThan(c, v)        => num(v).map(d => SargRange(c, d, Double.MaxValue, loIncl = !exact(d)))
         case sources.GreaterThanOrEqual(c, v) => num(v).map(SargRange(c, _, Double.MaxValue))
-        case sources.LessThan(c, v)           => num(v).map(SargRange(c, Double.MinValue, _))
+        case sources.LessThan(c, v)           => num(v).map(d => SargRange(c, Double.MinValue, d, hiIncl = !exact(d)))
         case sources.LessThanOrEqual(c, v)    => num(v).map(SargRange(c, Double.MinValue, _))
         case sources.In(c, vs) if integral(c) && vs.nonEmpty && vs.forall(v => num(v).isDefined) =>
           Some(SargIn(c, vs.flatMap(num).map(_.toLong).toSet))

@@ -311,6 +311,19 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture {
     assert(collectP(t) == Set((1L, 1.5, 10), (2L, 2.5, 20)))
   }
 
+  test("merge that updates and inserts in the same partition") {
+    val (c, t) = freshTable("t_part_merge", Some("p"), pSchema)
+    val t1 = c.txns.openTxn()
+    t.insert(t1, pRows(Seq((1L, 1.0, 10), (2L, 2.0, 20))))
+    c.txns.commit(t1)
+    // k = 1 matches in partition 10; k = 3 is new in partition 10 too
+    val src = pRows(Seq((1L, 10.0, 10), (3L, 30.0, 10)))
+    val t2 = c.txns.openTxn()
+    t.merge(t2, src, col("t.k") === col("s.k"), matchedSet = Map("v" -> col("s.v")))
+    c.txns.commit(t2)
+    assert(collectP(t) == Set((1L, 10.0, 10), (2L, 2.0, 20), (3L, 30.0, 10)))
+  }
+
   private def collectP(t: AcidTable): Set[(Long, Double, Int)] =
     t.readCurrent()(sp).select("k", "v", "p").collect()
       .map(r => (r.getLong(0), r.getDouble(1), r.getInt(2))).toSet

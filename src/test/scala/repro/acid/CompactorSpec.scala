@@ -8,11 +8,11 @@ import AcidLayout._
 class CompactorSpec extends SparkSpec with AcidFixture {
 
   private def deltaCount(t: AcidTable): Int =
-    t.storeDirs.map { case (d, _) => AcidLayout.list(d).count(_.isInstanceOf[DeltaDir]) }.sum
+    t.storeDirs().map(d => AcidLayout.list(d).count(_.isInstanceOf[DeltaDir])).sum
   private def deleteDeltaCount(t: AcidTable): Int =
-    t.storeDirs.map { case (d, _) => AcidLayout.list(d).count(_.isInstanceOf[DeleteDeltaDir]) }.sum
+    t.storeDirs().map(d => AcidLayout.list(d).count(_.isInstanceOf[DeleteDeltaDir])).sum
   private def baseCount(t: AcidTable): Int =
-    t.storeDirs.map { case (d, _) => AcidLayout.list(d).count(_.isInstanceOf[BaseDir]) }.sum
+    t.storeDirs().map(d => AcidLayout.list(d).count(_.isInstanceOf[BaseDir])).sum
 
   private def seedInserts(name: String, batches: Int) = {
     val (c, t) = freshTable(name)

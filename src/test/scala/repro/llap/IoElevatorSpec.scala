@@ -39,6 +39,25 @@ class IoElevatorSpec extends AnyFunSuite {
     assert(e.metrics.rowGroupsSkipped.get == 8)
   }
 
+  test("strict range bounds skip the row groups that only touch them") {
+    val e = freshElevator()
+    val strict = SargRange("k", 1000, 3001, loIncl = false, hiIncl = false)
+    val total = e.scan(makeFile(), Seq("k"), Seq(strict)).map(_.numRows).sum
+    assert(total == 2000) // [1..1000] ends at lo and [3001..4000] starts at hi
+    assert(e.metrics.rowGroupsSkipped.get == 8)
+  }
+
+  test("strict filters map to exclusive bounds while doubles hold them exactly") {
+    import org.apache.spark.sql.sources
+    val big = (1L << 53) + 1
+    val (sargs, _) = LlapScanBuilder.toSargs(
+      Array(sources.GreaterThan("k", 5L), sources.LessThan("k", 9L), sources.GreaterThan("k", big)), schema)
+    assert(sargs == Seq(
+      SargRange("k", 5, Double.MaxValue, loIncl = false),
+      SargRange("k", Double.MinValue, 9, hiIncl = false),
+      SargRange("k", big.toDouble, Double.MaxValue)))
+  }
+
   test("equality sarg reads exactly one row group") {
     val e = freshElevator()
     val total = e.scan(makeFile(), Seq("k"), Seq(SargEquals("k", 4242))).map(_.numRows).sum

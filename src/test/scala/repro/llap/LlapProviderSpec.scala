@@ -60,8 +60,8 @@ class LlapProviderSpec extends SparkSpec {
       .count()
     assert(out == 0)
     assert(LlapIo.elevator.metrics.rowGroupsSkipped.get > 0, "no row-group pruning happened")
-    // GreaterThan maps to an inclusive range sarg: at most the boundary
-    // group of each file is read, everything else is skipped.
+    // GreaterThan maps to a range sarg with an exclusive lower bound: even
+    // the boundary group of each file, whose max is maxKey, is skipped.
     assert(LlapIo.elevator.metrics.rowGroupsRead.get <= 3)
     assert(LlapIo.elevator.metrics.rowGroupsSkipped.get >
       LlapIo.elevator.metrics.rowGroupsRead.get)
