@@ -3,7 +3,6 @@ package repro.core
 import scala.collection.concurrent.TrieMap
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.acid.AcidTable
 
@@ -84,7 +83,8 @@ final class AcidMvMaintainer(spark: SparkSession, sources: Map[String, AcidTable
         val deltaResult = spark.sql(st.sql)
         val merged =
           if (mode == IncrementalInsert) contents(name).unionByName(deltaResult)
-          else mergeAggregates(contents(name), deltaResult, st.query)
+          // MERGE: union then re-aggregate by the group keys
+          else st.query.reaggregate(contents(name).unionByName(deltaResult))
         val materialized = merged.cache()
         materialized.count()
         materialized.createOrReplaceTempView(name)
@@ -104,23 +104,5 @@ final class AcidMvMaintainer(spark: SparkSession, sources: Map[String, AcidTable
     val df = spark.sql(st.sql).cache()
     df.count()
     df.createOrReplaceTempView(st.name)
-  }
-
-  /** MERGE of the delta aggregate into the MV: union then re-aggregate by
-    * the group keys (sum/count re-sum, min/max re-min/max). */
-  private def mergeAggregates(old: DataFrame, delta: DataFrame, q: SpjaQuery): DataFrame = {
-    val groupNames = q.groupOut.map(_._2).distinct
-    val reagg = q.aggs.map { a =>
-      (a.func match {
-        case "sum" | "count" | "count_star" => sum(col(a.outName))
-        case "min"                          => min(col(a.outName))
-        case "max"                          => max(col(a.outName))
-      }).as(a.outName)
-    }
-    val unioned = old.unionByName(delta)
-    val agged =
-      if (groupNames.isEmpty) unioned.agg(reagg.head, reagg.tail: _*)
-      else unioned.groupBy(groupNames.map(col): _*).agg(reagg.head, reagg.tail: _*)
-    agged.select(q.outOrder.map(col): _*)
   }
 }

@@ -52,22 +52,14 @@ object JoinReorder {
     val filtered: Map[String, Double] =
       q.tables.map(t => t -> CostModel.filteredCardinality(stats(t), predsOf(t))).toMap
 
-    def connected(t: String, included: Set[String]): Boolean =
-      q.joins.exists { case (a, b) =>
-        (owner.get(a).contains(t) && owner.get(b).exists(included.contains)) ||
-          (owner.get(b).contains(t) && owner.get(a).exists(included.contains))
+    def joinNdv(t: String, included: Set[String]): (Long, Long) =
+      conditions(q, owner, t, included).headOption match {
+        case Some((tCol, oCol)) =>
+          val tNdv = stats(t).columns.get(tCol).map(_.ndv).getOrElse(1000L)
+          val oNdv = owner.get(oCol).flatMap(o => stats(o).columns.get(oCol).map(_.ndv)).getOrElse(1000L)
+          (tNdv, oNdv)
+        case None => (1L, 1L)
       }
-    def joinNdv(t: String, included: Set[String]): (Long, Long) = {
-      val cond = q.joins.find { case (a, b) =>
-        (owner.get(a).contains(t) && owner.get(b).exists(included.contains)) ||
-          (owner.get(b).contains(t) && owner.get(a).exists(included.contains))
-      }.getOrElse(return (1L, 1L))
-      val (a, b) = cond
-      val (tCol, oCol) = if (owner.get(a).contains(t)) (a, b) else (b, a)
-      val tNdv = stats(t).columns.get(tCol).map(_.ndv).getOrElse(1000L)
-      val oNdv = owner.get(oCol).flatMap(o => stats(o).columns.get(oCol).map(_.ndv)).getOrElse(1000L)
-      (tNdv, oNdv)
-    }
 
     val start = q.tables.minBy(filtered)
     var order = Vector(start)
@@ -75,7 +67,7 @@ object JoinReorder {
     var size = filtered(start)
     var sizes = Vector(size)
     while (included.size < q.tables.size) {
-      val candidates = (q.tables -- included).filter(connected(_, included))
+      val candidates = (q.tables -- included).filter(conditions(q, owner, _, included).nonEmpty)
       val pool = if (candidates.nonEmpty) candidates else q.tables -- included // cross join fallback
       val next = pool.minBy { t =>
         val (tN, oN) = joinNdv(t, included)
@@ -90,21 +82,32 @@ object JoinReorder {
     Plan(order, sizes)
   }
 
-  /** Builds the joined DataFrame following a chosen order. */
-  def build(spark: SparkSession, q: SpjaQuery, order: Seq[String]): DataFrame = {
+  /** The join conditions of `q` that link table `t` to the tables in
+    * `joined`, each as (column of `t`, column of a joined table); `owner`
+    * maps a column to its table. */
+  private def conditions(q: SpjaQuery, owner: Map[String, String], t: String,
+                         joined: Set[String]): Seq[(String, String)] =
+    q.joins.toSeq.sorted.flatMap { case (a, b) =>
+      if (owner.get(a).contains(t) && owner.get(b).exists(joined)) Some((a, b))
+      else if (owner.get(b).contains(t) && owner.get(a).exists(joined)) Some((b, a))
+      else None
+    }
+
+  /** Joins the tables of `q` along its join conditions. Each step attaches
+    * the first table in `order` that a condition links to the tables joined
+    * so far; None when the join graph is disconnected. */
+  def build(spark: SparkSession, q: SpjaQuery, order: Seq[String]): Option[DataFrame] = {
     val owner: Map[String, String] = q.tables.flatMap { t =>
       spark.table(t).columns.map(_ -> t)
     }.toMap
-    order.tail.foldLeft(spark.table(order.head) -> Set(order.head)) {
-      case ((df, included), t) =>
-        val conds = q.joins.toSeq.filter { case (a, b) =>
-          (owner.get(a).contains(t) && owner.get(b).exists(included.contains)) ||
-            (owner.get(b).contains(t) && owner.get(a).exists(included.contains))
-        }.map { case (a, b) => col(a) === col(b) }
-        val joined =
-          if (conds.nonEmpty) df.join(spark.table(t), conds.reduce(_ && _))
-          else df.crossJoin(spark.table(t))
-        joined -> (included + t)
-    }._1
+    def attach(df: DataFrame, joined: Set[String], rest: Seq[String]): Option[DataFrame] =
+      if (rest.isEmpty) Some(df)
+      else rest.iterator.map(t => t -> conditions(q, owner, t, joined)).find(_._2.nonEmpty) match {
+        case Some((t, conds)) =>
+          val on = conds.map { case (a, b) => col(a) === col(b) }.reduce(_ && _)
+          attach(df.join(spark.table(t), on), joined + t, rest.filterNot(_ == t))
+        case None => None
+      }
+    attach(spark.table(order.head), Set(order.head), order.tail)
   }
 }

@@ -3,8 +3,6 @@ package repro.core
 import scala.collection.concurrent.TrieMap
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.catalyst.{expressions, plans}
-import org.apache.spark.sql.catalyst.plans.logical
 import org.apache.spark.sql.functions._
 
 /** A registered materialized view: its SPJA definition and the temp view
@@ -102,36 +100,15 @@ object MvRewriter {
     * preferring full containment over partial). ORDER BY / LIMIT on top of
     * the SPJA core are peeled off and re-applied to the rewritten plan. */
   def rewrite(spark: SparkSession, df: DataFrame, catalog: MvCatalog): Option[Rewrite] = {
-    val (core, post) = peel(df.queryExecution.analyzed)
-    val q = Spja.extract(core, catalog.sourceNames).getOrElse(return None)
+    val peeled = Spja.peel(df.queryExecution.analyzed)
+    val q = Spja.extract(peeled.core, catalog.sourceNames).getOrElse(return None)
     val candidates = catalog.list
     candidates.flatMap(v => tryFull(spark, q, v, Some(catalog))
-        .map(d => Rewrite(post(d), v.name, FullContainment)))
+        .map(d => Rewrite(peeled.reapply(d), v.name, FullContainment)))
       .headOption
-      .orElse(candidates.flatMap(v => tryPartial(spark, q, v, catalog)
-        .map(d => Rewrite(post(d), v.name, PartialContainment))).headOption)
+      .orElse(candidates.flatMap(v => tryPartial(spark, q, v)
+        .map(d => Rewrite(peeled.reapply(d), v.name, PartialContainment))).headOption)
   }
-
-  /** Strips top-level Sort / Limit, returning the inner plan and a function
-    * re-applying the stripped modifiers to the rewritten DataFrame. */
-  private def peel(plan: logical.LogicalPlan): (logical.LogicalPlan, DataFrame => DataFrame) =
-    plan match {
-      case logical.GlobalLimit(expressions.Literal(n: Int, _), logical.LocalLimit(_, child)) =>
-        val (inner, f) = peel(child)
-        (inner, df => f(df).limit(n))
-      case logical.Sort(orders, true, child, _) =>
-        val cols = orders.map { so =>
-          so.child match {
-            case a: expressions.AttributeReference =>
-              val c = col(a.name)
-              if (so.direction == expressions.Descending) c.desc else c.asc
-            case _ => return (plan, identity)
-          }
-        }
-        val (inner, f) = peel(child)
-        (inner, df => f(df).orderBy(cols: _*))
-      case other => (other, identity)
-    }
 
   // ------------------------------------------------------------------ full
 
@@ -145,6 +122,7 @@ object MvRewriter {
                               qD: Map[String, Dom], v: MaterializedView,
                               catalog: Option[MvCatalog] = None): Option[DataFrame] = {
     val vq = v.query
+    if (q.isAggregate && q.aggs.isEmpty) return None // GROUP BY without aggregates
     // Exact table/join match, or — with constraint information — the view
     // may join additional key-preserving dimensions the query does not use.
     if (q.tables != vq.tables || q.joins != vq.joins) {
@@ -179,10 +157,7 @@ object MvRewriter {
     (q.isAggregate, vq.isAggregate) match {
       case (false, false) =>
         // SPJ over SPJ view: project the requested columns
-        val sel = q.projection.map { case (cr, name) =>
-          col(mvName(cr.column).getOrElse(return None)).as(name)
-        }
-        Some(filtered.select(sel: _*))
+        Some(filtered.select(q.outColumns((cr, _) => mvName(cr.column).getOrElse(return None)): _*))
 
       case (true, false) =>
         // aggregate over an SPJ (e.g. denormalized) view: group and
@@ -191,27 +166,18 @@ object MvRewriter {
         val groupCols = q.groupBy.get.map(_.column).distinct
         groupCols.foreach(c => if (!mvName(c).contains(c)) return None)
         q.aggs.foreach(_.argCols.foreach(c => if (!mvName(c).contains(c)) return None))
-        val aggCols = q.aggs.map(a => directAgg(a).as(a.outName))
-        val agged = filtered.groupBy(groupCols.map(col): _*)
-          .agg(aggCols.head, aggCols.tail: _*)
-        Some(renameOut(agged, q))
+        Some(evaluate(filtered, q))
 
       case (true, true) =>
         // SPJA over SPJA view: rollup-derive each aggregate
         val groupCols = q.groupBy.get.map(_.column).distinct
         val mvGroup = groupCols.map(c => mvName(c).getOrElse(return None))
-        val derived = q.aggs.map(a => derivedAgg(a, vq).getOrElse(return None).as(a.outName))
-        if (derived.isEmpty) return None
-        val agged = filtered.groupBy(mvGroup.map(col): _*)
-          .agg(derived.head, derived.tail: _*)
-        // rename rolled-up group columns from view names to query names
-        val sel = q.outOrder.map { n =>
-          q.groupOut.find(_._2 == n) match {
-            case Some((cr, _)) => col(mvName(cr.column).get).as(n)
-            case None          => col(n)
-          }
+        val derived = q.aggs.map { a =>
+          val va = vq.aggs.find(va => va.func == a.func && va.arg == a.arg).getOrElse(return None)
+          a.rollup(col(va.outName)).as(a.outName)
         }
-        Some(agged.select(sel: _*))
+        Some(Spja.aggregate(filtered, mvGroup, derived)
+          .select(q.outColumns((cr, _) => mvName(cr.column).get): _*))
 
       case (false, true) => None // SPJ query cannot read an aggregated view
     }
@@ -226,36 +192,22 @@ object MvRewriter {
     case "count_star" => count(lit(1))
   }
 
-  /** Rollup derivation of a query aggregate from a view's aggregate output:
-    * SUM/COUNT re-sum, MIN/MAX re-min/max (§4.4). */
-  private def derivedAgg(a: AggSpec, vq: SpjaQuery): Option[Column] = {
-    val matching = vq.aggs.find(va => va.func == a.func && va.arg == a.arg)
-    matching.map { va =>
-      a.func match {
-        case "sum" | "count" | "count_star" => sum(col(va.outName))
-        case "min"                          => min(col(va.outName))
-        case "max"                          => max(col(va.outName))
-      }
-    }
-  }
-
-  private def renameOut(agged: DataFrame, q: SpjaQuery): DataFrame = {
-    val sel = q.outOrder.map { n =>
-      q.groupOut.find(_._2 == n) match {
-        case Some((cr, _)) => col(cr.column).as(n)
-        case None          => col(n)
-      }
-    }
-    agged.select(sel: _*)
+  /** The query over a frame with source-named columns: its aggregates when
+    * it has any, then its output projection. */
+  private def evaluate(df: DataFrame, q: SpjaQuery): DataFrame = {
+    val agged =
+      if (!q.isAggregate) df
+      else Spja.aggregate(df, q.groupBy.get.map(_.column).distinct,
+        q.aggs.map(a => directAgg(a).as(a.outName)))
+    agged.select(q.outColumns((cr, _) => cr.column): _*)
   }
 
   // --------------------------------------------------------------- partial
 
-  private[core] def tryPartial(spark: SparkSession, q: SpjaQuery, v: MaterializedView,
-                               catalog: MvCatalog): Option[DataFrame] = {
+  private[core] def tryPartial(spark: SparkSession, q: SpjaQuery,
+                               v: MaterializedView): Option[DataFrame] = {
     val vq = v.query
     if (q.tables != vq.tables || q.joins != vq.joins) return None
-    if (q.isAggregate != vq.isAggregate && !(q.isAggregate && !vq.isAggregate)) return None
     val qD = Dom.ofPreds(q.preds).getOrElse(return None)
     val vD = Dom.ofPreds(vq.preds).getOrElse(return None)
 
@@ -279,72 +231,21 @@ object MvRewriter {
 
     // source part: recompute the missing region(s) from the source tables
     val missingFilter = missing.map(_.toColumn(c)).reduce(_ || _)
-    val part2 = buildFromSources(spark, q, qD, catalog, missingFilter).getOrElse(return None)
+    val part2 = buildFromSources(spark, q, qD, missingFilter).getOrElse(return None)
 
     // combine (Figure 4c): UNION ALL then re-aggregate
     val unioned = part1.unionByName(part2)
-    if (!q.isAggregate) Some(unioned)
-    else {
-      val groupNames = q.groupOut.map(_._2).distinct
-      val reagg = q.aggs.map { a =>
-        (a.func match {
-          case "sum" | "count" | "count_star" => sum(col(a.outName))
-          case "min"                          => min(col(a.outName))
-          case "max"                          => max(col(a.outName))
-        }).as(a.outName)
-      }
-      if (reagg.isEmpty) return None
-      val agged =
-        if (groupNames.isEmpty) unioned.agg(reagg.head, reagg.tail: _*)
-        else unioned.groupBy(groupNames.map(col): _*).agg(reagg.head, reagg.tail: _*)
-      Some(agged.select(q.outOrder.map(col): _*))
-    }
+    Some(if (q.isAggregate) q.reaggregate(unioned) else unioned)
   }
 
   /** Rebuilds the query directly over its source tables with an extra
     * filter — used for the non-covered slice of a partial rewrite. */
   private def buildFromSources(spark: SparkSession, q: SpjaQuery, qD: Map[String, Dom],
-                               catalog: MvCatalog, extra: Column): Option[DataFrame] = {
-    val owner: Map[String, String] = q.tables.flatMap { t =>
-      spark.table(t).columns.map(_ -> t)
-    }.toMap
-
-    // chain joins: start anywhere, repeatedly attach a table connected
-    // through some join condition
-    val tables = q.tables.toSeq.sorted
-    var included = Set(tables.head)
-    var joined = spark.table(tables.head)
-    var remaining = tables.tail.toSet
-    while (remaining.nonEmpty) {
-      val next = remaining.find { t =>
-        q.joins.exists { case (a, b) =>
-          (owner.get(a).contains(t) && owner.get(b).exists(included.contains)) ||
-            (owner.get(b).contains(t) && owner.get(a).exists(included.contains))
-        }
-      }.getOrElse(return None) // disconnected join graph
-      val conds = q.joins.toSeq.filter { case (a, b) =>
-        (owner.get(a).contains(next) && owner.get(b).exists(included.contains)) ||
-          (owner.get(b).contains(next) && owner.get(a).exists(included.contains))
-      }.map { case (a, b) => col(a) === col(b) }
-      joined = joined.join(spark.table(next), conds.reduce(_ && _))
-      included += next
-      remaining -= next
-    }
-
+                               extra: Column): Option[DataFrame] = {
+    val joined = JoinReorder.build(spark, q, q.tables.toSeq.sorted).getOrElse(return None)
     val filtered = qD.foldLeft(joined.filter(extra)) { case (d, (c, dom)) =>
       d.filter(dom.toColumn(c))
     }
-
-    if (!q.isAggregate) {
-      Some(filtered.select(q.projection.map { case (cr, n) => col(cr.column).as(n) }: _*))
-    } else {
-      val groupCols = q.groupBy.get.map(_.column).distinct
-      val aggCols = q.aggs.map(a => directAgg(a).as(a.outName))
-      if (aggCols.isEmpty) return None
-      val agged =
-        if (groupCols.isEmpty) filtered.agg(aggCols.head, aggCols.tail: _*)
-        else filtered.groupBy(groupCols.map(col): _*).agg(aggCols.head, aggCols.tail: _*)
-      Some(renameOut(agged, q))
-    }
+    Some(evaluate(filtered, q))
   }
 }

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.time.LocalDate
+
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.aggregate._
 import org.apache.spark.sql.catalyst.plans.Inner
@@ -28,7 +31,15 @@ final case class InStrPred(column: String, values: Set[String]) extends Pred
   * canonical bare-column expression string (re-parsable with expr()), and
   * the set of columns the arg references. */
 final case class AggSpec(func: String, arg: Option[String], outName: String,
-                         argCols: Set[String])
+                         argCols: Set[String]) {
+  /** This aggregate over a column of partial results of the same aggregate
+    * (§4.4): SUM and COUNT re-sum, MIN and MAX re-min and re-max. */
+  def rollup(partial: Column): Column = func match {
+    case "sum" | "count" | "count_star" => F.sum(partial)
+    case "min"                          => F.min(partial)
+    case "max"                          => F.max(partial)
+  }
+}
 
 /** Select-Project-Join-Aggregate normal form (§4.4).
   *
@@ -56,12 +67,82 @@ final case class SpjaQuery(
 
   /** All columns referenced by the filter conjuncts. */
   def predColumns: Set[String] = preds.map(_.column).toSet
+
+  /** The output columns in projection order. `source(column, outName)`
+    * names the input column that holds each group or projected column;
+    * aggregate outputs are read under their own names. */
+  def outColumns(source: (ColRef, String) => String): Seq[Column] =
+    outOrder.map { n =>
+      (groupOut ++ projection).find(_._2 == n) match {
+        case Some((cr, _)) => F.col(source(cr, n)).as(n)
+        case None          => F.col(n)
+      }
+    }
+
+  /** Re-aggregates partial results that carry this query's output columns,
+    * e.g. a UNION ALL of partial aggregates, into the query's result. */
+  def reaggregate(partials: DataFrame): DataFrame =
+    Spja.aggregate(partials, groupOut.map(_._2).distinct,
+      aggs.map(a => a.rollup(F.col(a.outName)).as(a.outName)))
+      .select(outOrder.map(F.col): _*)
+}
+
+/** An SPJA core under the ORDER BY (output column, descending) and LIMIT
+  * that [[Spja.peel]] took off it. */
+final case class Peeled(core: LogicalPlan, sort: Seq[(String, Boolean)], limit: Option[Int]) {
+  /** Re-applies the peeled ORDER BY and LIMIT to a frame of the core's output. */
+  def reapply(df: DataFrame): DataFrame = {
+    val sorted =
+      if (sort.isEmpty) df
+      else df.orderBy(sort.map { case (c, desc) => if (desc) F.col(c).desc else F.col(c).asc }: _*)
+    limit.fold(sorted)(sorted.limit)
+  }
 }
 
 /** Extraction failure is silent (None): the rewriting rule simply does not
   * fire for plans outside the supported SPJA shape, exactly like Hive's
   * Calcite rule only firing on SPJA expressions. */
 object Spja {
+
+  /** Takes a top-level LIMIT and the ORDER BY under it off `plan`. An ORDER
+    * BY on anything but output columns stays in the core. */
+  def peel(plan: LogicalPlan): Peeled = {
+    val (limit, below) = plan match {
+      case GlobalLimit(Literal(n: Int, _), LocalLimit(_, child)) => (Some(n), child)
+      case other                                                 => (None, other)
+    }
+    below match {
+      case Sort(orders, true, child, _) if orders.forall(_.child.isInstanceOf[AttributeReference]) =>
+        Peeled(child, orders.map(o =>
+          (o.child.asInstanceOf[AttributeReference].name, o.direction == Descending)), limit)
+      case other => Peeled(other, Seq.empty, limit)
+    }
+  }
+
+  /** `aggs` over `df` grouped by `groupCols`; no group columns is a global
+    * aggregate, which yields one row. */
+  def aggregate(df: DataFrame, groupCols: Seq[String], aggs: Seq[Column]): DataFrame =
+    df.groupBy(groupCols.map(F.col): _*).agg(aggs.head, aggs.tail: _*)
+
+  /** Text of a predicate constant on a column of type `dt`: whole numbers
+    * without a fraction, other numbers as doubles, DATE values (days since
+    * the epoch) as ISO dates, strings as they are. Every pushdown target
+    * renders its constants with it. */
+  def literalText(v: Any, dt: DataType): String = v match {
+    case d: Double if dt == DateType => LocalDate.ofEpochDay(d.toLong).toString
+    case d: Double if d == math.rint(d) && math.abs(d) < 1e15 => d.toLong.toString
+    case d: Double => d.toString
+    case s: String => s
+  }
+
+  /** The constant as a SQL literal: numbers bare, DATE values typed, and
+    * strings quoted with embedded quotes doubled. */
+  def sqlLiteral(v: Any, dt: DataType): String = {
+    def quote(s: String) = "'" + s.replace("'", "''") + "'"
+    if (v.isInstanceOf[String]) quote(literalText(v, dt))
+    else if (dt == DateType) s"DATE ${quote(literalText(v, dt))}"
+    else literalText(v, dt)
+  }
 
   /** Extracts the SPJA form of an *analyzed* plan whose leaf tables are the
     * `sources` temp views (matched through their SubqueryAlias names). */

@@ -7,23 +7,12 @@ import repro.metastore.TableDesc
 /** Events delivered to a storage handler's metastore hook (§6.1): invoked
   * as part of transactions against the metastore. */
 sealed trait HookEvent
-final case class TableCreated(desc: TableDesc) extends HookEvent
 final case class TableDropped(name: String) extends HookEvent
-final case class RowsInserted(table: String, count: Long) extends HookEvent
-
-/** Serializer/deserializer between engine-internal rows and the external
-  * system's representation (§6.1). The external representation here is a
-  * column-name -> value map, the common denominator of Druid events and
-  * JDBC result rows. */
-trait Serde {
-  def serialize(row: org.apache.spark.sql.Row, schema: Seq[String]): Map[String, Any]
-  def deserialize(values: Map[String, Any], schema: Seq[String]): org.apache.spark.sql.Row
-}
 
 /** The storage handler interface (§6.1): input format (how to read,
   * including split parallelism and pushed-down queries), output format
-  * (how to write), a SerDe, and a metastore hook. The minimum usable
-  * implementation is an input format plus a deserializer.
+  * (how to write) and a metastore hook. Each handler converts rows between
+  * Spark and the external system inside its input and output formats.
   */
 trait StorageHandler {
   def name: String
@@ -36,16 +25,6 @@ trait StorageHandler {
   /** Writes a DataFrame out to the external system. */
   def outputFormat(df: DataFrame, table: TableDesc): Unit
 
-  def serde: Serde
-
   /** Notification methods invoked as part of metastore transactions. */
   def metastoreHook(event: HookEvent): Unit
-}
-
-/** Default map-based SerDe shared by the bundled handlers. */
-object MapSerde extends Serde {
-  override def serialize(row: org.apache.spark.sql.Row, schema: Seq[String]): Map[String, Any] =
-    schema.zipWithIndex.map { case (n, i) => n -> row.get(i) }.toMap
-  override def deserialize(values: Map[String, Any], schema: Seq[String]): org.apache.spark.sql.Row =
-    org.apache.spark.sql.Row.fromSeq(schema.map(values.getOrElse(_, null)))
 }

@@ -13,7 +13,7 @@ import org.apache.spark.sql.repro.PlanUtils
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{AggSpec, Dom, EqStrPred, InPred, InStrPred, NumDom, Pred, RangePred, Spja, SpjaQuery, StrDom}
+import repro.core.{AggSpec, Dom, NumDom, Pred, Spja, StrDom}
 
 /** Logical leaf carrying a Druid query attached to the scan — the
   * Calcite-style result of pushing a sequence of operators into Druid
@@ -104,45 +104,32 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
   /** Rewrites a SPJA plan over one external Druid table into a native
     * Druid query; Sort/Limit over the aggregate become the limitSpec. */
   def pushdown(df: DataFrame): Option[Pushed] = {
-    val analyzed = df.queryExecution.analyzed
-    val (core, limitSpec, post) = peelSortLimit(analyzed)
-    val q = Spja.extract(core, tables.keySet.toSet).getOrElse(return None)
+    val peeled = Spja.peel(df.queryExecution.analyzed)
+    val q = Spja.extract(peeled.core, tables.keySet.toSet).getOrElse(return None)
     if (q.tables.size != 1 || q.joins.nonEmpty) return None
     val dataSource = tables(q.tables.head)
     val schema = sim.schemaOf(dataSource)
 
     val filter = predsToFilter(q.preds, schema).getOrElse(return None)
 
-    if (!q.isAggregate) {
-      if (limitSpec.isDefined) return None // scan with limit: not pushed
-      val outNames = q.projection.map(_._2)
-      if (q.projection.exists { case (c, n) => c.column != n }) return None
-      val query = DruidQuery("scan", dataSource, filter = filter)
-      val scan = DruidQueryNode(toAttributes(schema), query, sim)
-      val out = PlanUtils.ofRows(spark, scan)
-        .select(outNames.map(org.apache.spark.sql.functions.col): _*)
-      Some(Pushed(post(out), query))
-    } else {
-      val dims = q.groupBy.get.map(_.column).distinct
-      val aggs = q.aggs.map { a => toDruidAgg(a, schema).getOrElse(return None) }
-      val qt = if (dims.isEmpty) "timeseries" else "groupBy"
-      val query = DruidQuery(qt, dataSource, dimensions = dims, aggregations = aggs,
-        filter = filter, limitSpec = limitSpec)
-      // output: dims under their query-facing names, then agg columns
-      val attrs = dims.map(d => attrFor(schema, d)) ++
-        q.aggs.map(a => AttributeReference(a.outName, aggDataType(a, schema))())
-      val node = DruidQueryNode(attrs, query, sim)
-      val renamed = q.outOrder.map { n =>
-        q.groupOut.find(_._2 == n) match {
-          case Some((cr, _)) => org.apache.spark.sql.functions.col(cr.column).as(n)
-          case None          => org.apache.spark.sql.functions.col(n)
-        }
+    val (query, attrs) =
+      if (!q.isAggregate) {
+        if (peeled.limit.isDefined) return None // scan with limit: not pushed
+        (DruidQuery("scan", dataSource, filter = filter), toAttributes(schema))
+      } else {
+        val dims = q.groupBy.get.map(_.column).distinct
+        val aggs = q.aggs.map { a => toDruidAgg(a, schema).getOrElse(return None) }
+        val qt = if (dims.isEmpty) "timeseries" else "groupBy"
+        (DruidQuery(qt, dataSource, dimensions = dims, aggregations = aggs,
+          filter = filter, limitSpec = peeled.limit.map(LimitSpec(_, peeled.sort))),
+          dims.map(d => attrFor(schema, d)) ++
+            q.aggs.map(a => AttributeReference(a.outName, aggDataType(a, schema))()))
       }
-      val out = PlanUtils.ofRows(spark, node).select(renamed: _*)
-      // limitSpec already ordered/limited inside Druid; `post` re-applies
-      // the ordering so Spark-side row order matches the SQL
-      Some(Pushed(post(out), query))
-    }
+    val out = PlanUtils.ofRows(spark, DruidQueryNode(attrs, query, sim))
+      .select(q.outColumns((cr, _) => cr.column): _*)
+    // a limitSpec already ordered and limited inside Druid; re-applying the
+    // ordering makes the Spark-side row order match the SQL
+    Some(Pushed(peeled.reapply(out), query))
   }
 
   // ------------------------------------------------------------- helpers
@@ -185,7 +172,8 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
     val fs = doms.toSeq.sortBy(_._1).map {
       case (c, n: NumDom) =>
         n.effectiveSet match {
-          case Some(vals) => InFilter(c, vals.toSeq.sorted.map(fmtNum))
+          case Some(vals) =>
+            InFilter(c, vals.toSeq.sorted.map(Spja.literalText(_, schema(c).dataType)))
           case None => Bound(c,
             Option(n.lo).filter(_ > Double.NegativeInfinity),
             Option(n.hi).filter(_ < Double.PositiveInfinity),
@@ -195,44 +183,6 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
         if (vals.size == 1) Selector(c, vals.head) else InFilter(c, vals.toSeq.sorted)
     }
     Some(Some(if (fs.size == 1) fs.head else AndFilter(fs)))
-  }
-
-  private def fmtNum(d: Double): String =
-    if (d == math.rint(d)) d.toLong.toString else d.toString
-
-  /** Peels Sort(+Limit) over the aggregate into a Druid limitSpec. */
-  private def peelSortLimit(plan: LogicalPlan)
-      : (LogicalPlan, Option[LimitSpec], DataFrame => DataFrame) = {
-    import org.apache.spark.sql.catalyst.expressions.{Descending, Literal, SortOrder}
-    import org.apache.spark.sql.catalyst.plans.logical.{GlobalLimit, LocalLimit, Sort}
-    import org.apache.spark.sql.functions.col
-    def sortCols(orders: Seq[SortOrder]): Option[Seq[(String, Boolean)]] = {
-      val out = orders.map { so =>
-        so.child match {
-          case a: AttributeReference => (a.name, so.direction == Descending)
-          case _                     => return None
-        }
-      }
-      Some(out)
-    }
-    plan match {
-      case GlobalLimit(Literal(n: Int, _), LocalLimit(_, Sort(orders, true, child, _))) =>
-        sortCols(orders) match {
-          case Some(cols) =>
-            val postCols = cols.map { case (c, desc) => if (desc) col(c).desc else col(c).asc }
-            (child, Some(LimitSpec(n, cols)), df => df.orderBy(postCols: _*).limit(n))
-          case None => (plan, None, identity)
-        }
-      case Sort(orders, true, child, _) =>
-        // bare ORDER BY: executed Spark-side over the (small) pushed result
-        sortCols(orders) match {
-          case Some(cols) =>
-            val postCols = cols.map { case (c, desc) => if (desc) col(c).desc else col(c).asc }
-            (child, None, df => df.orderBy(postCols: _*))
-          case None => (plan, None, identity)
-        }
-      case other => (other, None, identity)
-    }
   }
 }
 
@@ -257,11 +207,8 @@ final class DruidStorageHandler(spark: SparkSession, federation: DruidFederation
       table.properties.getOrElse("druid.datasource", table.name))
   }
 
-  override def serde: repro.federation.Serde = repro.federation.MapSerde
-
   override def metastoreHook(event: repro.federation.HookEvent): Unit = event match {
     case repro.federation.TableDropped(n) =>
       spark.catalog.dropTempView(n): Unit
-    case _ => ()
   }
 }

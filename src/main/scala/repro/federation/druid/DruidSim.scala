@@ -1,5 +1,7 @@
 package repro.federation.druid
 
+import java.time.LocalDate
+
 import scala.collection.mutable
 
 import org.apache.spark.sql.{DataFrame, Row}
@@ -156,15 +158,19 @@ final class DruidSim {
 
     q.queryType match {
       case "scan" =>
-        live.flatMap(s => selectRows(s, q).iterator.map(i =>
+        live.flatMap(s => selectRows(s, q, source.schema).iterator.map(i =>
           source.schema.fieldNames.map(f => f -> s.columns(f)(i)).toMap))
       case "groupBy" | "timeseries" =>
         val acc = mutable.LinkedHashMap[Seq[Any], Array[Any]]()
+        // counts start at 0, the other aggregates at null (no value)
+        def empty: Array[Any] = q.aggregations.map(a => if (a.aggType == "count") 0L else null).toArray
+        // a timeseries is one global aggregate: one row even when no row matches
+        if (q.queryType == "timeseries") acc(Seq.empty) = empty
         live.foreach { s =>
-          val rows = selectRows(s, q)
+          val rows = selectRows(s, q, source.schema)
           rows.foreach { i =>
             val key = q.dimensions.map(d => s.columns(d)(i))
-            val cur = acc.getOrElseUpdate(key, Array.fill[Any](q.aggregations.size)(null))
+            val cur = acc.getOrElseUpdate(key, empty)
             var a = 0
             while (a < q.aggregations.size) {
               val agg = q.aggregations(a)
@@ -192,8 +198,9 @@ final class DruidSim {
   }
 
   /** Row selection within a segment: inverted index for selector/IN on
-    * string dims, column scan otherwise. */
-  private def selectRows(s: Segment, q: DruidQuery): Seq[Int] = {
+    * string dims, column scan otherwise. Like bounds, IN values on numeric
+    * and DATE columns compare as numbers; a DATE value is an ISO date. */
+  private def selectRows(s: Segment, q: DruidQuery, schema: StructType): Seq[Int] = {
     def eval(f: DruidFilter): Seq[Int] = f match {
       case Selector(d, v) if s.index.contains(d) =>
         s.index(d).getOrElse(v, Array.empty[Int]).toSeq
@@ -202,8 +209,10 @@ final class DruidSim {
       case InFilter(d, vs) if s.index.contains(d) =>
         vs.flatMap(v => s.index(d).getOrElse(v, Array.empty[Int])).distinct.sorted
       case InFilter(d, vs) =>
-        val set = vs.toSet
-        (0 until s.numRows).filter(i => set.contains(String.valueOf(s.columns(d)(i))))
+        val set = vs.map { v =>
+          if (schema(d).dataType == DateType) LocalDate.parse(v).toEpochDay.toDouble else v.toDouble
+        }.toSet
+        (0 until s.numRows).filter(i => set.contains(numOf(s.columns(d)(i))))
       case Bound(d, lo, hi, ls, us) =>
         (0 until s.numRows).filter { i =>
           val v = numOf(s.columns(d)(i))
@@ -224,7 +233,7 @@ final class DruidSim {
     aggType match {
       case "doubleSum" => if (cur == null) d else cur.asInstanceOf[Double] + d
       case "longSum"   => if (cur == null) d.toLong else cur.asInstanceOf[Long] + d.toLong
-      case "count"     => if (cur == null) 1L else cur.asInstanceOf[Long] + 1L
+      case "count"     => cur.asInstanceOf[Long] + 1L
       case "doubleMin" => if (cur == null) d else math.min(cur.asInstanceOf[Double], d)
       case "doubleMax" => if (cur == null) d else math.max(cur.asInstanceOf[Double], d)
       case other       => throw new IllegalArgumentException(s"unsupported agg: $other")

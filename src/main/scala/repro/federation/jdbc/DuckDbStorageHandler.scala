@@ -3,12 +3,13 @@ package repro.federation.jdbc
 import java.sql.{Connection, DriverManager}
 
 import scala.collection.concurrent.TrieMap
+import scala.util.Using
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 
-import repro.core.{Dom, NumDom, Pred, Spja, SpjaQuery, StrDom}
-import repro.federation.{HookEvent, MapSerde, Serde, StorageHandler, TableDropped}
+import repro.core.{Dom, NumDom, Spja, SpjaQuery, StrDom}
+import repro.federation.{HookEvent, StorageHandler, TableDropped}
 import repro.metastore.TableDesc
 
 /** Federation to a JDBC engine (§6.2): Hive can push operator sequences to
@@ -36,14 +37,15 @@ final class DuckDbStorageHandler(spark: SparkSession) extends StorageHandler {
       case other       => throw new IllegalArgumentException(s"unsupported: $other")
     }
     val cols = df.schema.fields.map(f => s"${f.name} ${sqlType(f.dataType)}").mkString(", ")
-    conn.createStatement().execute(s"CREATE OR REPLACE TABLE ${table.name} ($cols)")
-    val ps = conn.prepareStatement(
-      s"INSERT INTO ${table.name} VALUES (${df.schema.fields.map(_ => "?").mkString(",")})")
-    df.collect().foreach { r =>
-      df.schema.fields.indices.foreach(i => ps.setObject(i + 1, r.get(i)))
-      ps.addBatch()
+    Using.resource(conn.createStatement())(_.execute(s"CREATE OR REPLACE TABLE ${table.name} ($cols)"))
+    Using.resource(conn.prepareStatement(
+        s"INSERT INTO ${table.name} VALUES (${df.schema.fields.map(_ => "?").mkString(",")})")) { ps =>
+      df.collect().foreach { r =>
+        df.schema.fields.indices.foreach(i => ps.setObject(i + 1, r.get(i)))
+        ps.addBatch()
+      }
+      ps.executeBatch()
     }
-    ps.executeBatch(); ps.close()
     tables.put(table.name, df.schema): Unit
   }
 
@@ -54,13 +56,10 @@ final class DuckDbStorageHandler(spark: SparkSession) extends StorageHandler {
     executeSql(sql)
   }
 
-  override def serde: Serde = MapSerde
-
   override def metastoreHook(event: HookEvent): Unit = event match {
     case TableDropped(n) =>
-      conn.createStatement().execute(s"DROP TABLE IF EXISTS $n")
+      Using.resource(conn.createStatement())(_.execute(s"DROP TABLE IF EXISTS $n"))
       tables.remove(n): Unit
-    case _ => ()
   }
 
   def registeredTables: Set[String] = tables.keySet.toSet
@@ -75,9 +74,11 @@ final class DuckDbStorageHandler(spark: SparkSession) extends StorageHandler {
 
   /** SQL generation from the SPJA form (the Calcite dialect writer). */
   private[jdbc] def generateSql(q: SpjaQuery): Option[String] = {
+    val types = q.tables.flatMap(t => tables(t).fields.map(f => f.name -> f.dataType)).toMap
     val from = q.tables.toSeq.sorted.mkString(", ")
     val joinConds = q.joins.toSeq.sorted.map { case (a, b) => s"$a = $b" }
-    val preds = q.preds.map(predSql)
+    val doms = Dom.ofPreds(q.preds).getOrElse(return None)
+    val preds = doms.toSeq.sortBy(_._1).map { case (c, d) => domSql(c, d, types(c)) }
     val where = joinConds ++ preds
     val whereSql = if (where.isEmpty) "" else s" WHERE ${where.mkString(" AND ")}"
     if (!q.isAggregate) {
@@ -88,7 +89,6 @@ final class DuckDbStorageHandler(spark: SparkSession) extends StorageHandler {
       val aggs = q.aggs.map { a =>
         val f = a.func match {
           case "count_star" => "COUNT(*)"
-          case "count"      => s"COUNT(${a.arg.get})"
           case other        => s"${other.toUpperCase}(${a.arg.get})"
         }
         s"$f AS ${a.outName}"
@@ -99,29 +99,37 @@ final class DuckDbStorageHandler(spark: SparkSession) extends StorageHandler {
     }
   }
 
-  private def predSql(p: Pred): String = p match {
-    case repro.core.RangePred(c, lo, li, hi, hc) =>
-      val parts = Seq(
-        if (lo > Double.NegativeInfinity) Some(s"$c ${if (li) ">=" else ">"} ${fmt(lo)}") else None,
-        if (hi < Double.PositiveInfinity) Some(s"$c ${if (hc) "<=" else "<"} ${fmt(hi)}") else None,
-      ).flatten
-      if (parts.isEmpty) "TRUE" else parts.mkString(" AND ")
-    case repro.core.InPred(c, vs)    => s"$c IN (${vs.toSeq.sorted.map(fmt).mkString(", ")})"
-    case repro.core.EqStrPred(c, v)  => s"$c = '$v'"
-    case repro.core.InStrPred(c, vs) => s"$c IN (${vs.toSeq.sorted.map(v => s"'$v'").mkString(", ")})"
+  /** The domain of column `c`, of type `dt`, as a SQL condition. */
+  private def domSql(c: String, d: Dom, dt: DataType): String = {
+    def in(vs: Seq[Any]) =
+      if (vs.isEmpty) "FALSE" else s"$c IN (${vs.map(Spja.sqlLiteral(_, dt)).mkString(", ")})"
+    d match {
+      case n: NumDom => n.effectiveSet match {
+        case Some(vals) => in(vals.toSeq.sorted)
+        case None =>
+          val parts = Seq(
+            if (n.lo > Double.NegativeInfinity)
+              Some(s"$c ${if (n.loIncl) ">=" else ">"} ${Spja.sqlLiteral(n.lo, dt)}") else None,
+            if (n.hi < Double.PositiveInfinity)
+              Some(s"$c ${if (n.hiIncl) "<=" else "<"} ${Spja.sqlLiteral(n.hi, dt)}") else None,
+          ).flatten
+          if (parts.isEmpty) "TRUE" else parts.mkString(" AND ")
+      }
+      case StrDom(vals) if vals.size == 1 => s"$c = ${Spja.sqlLiteral(vals.head, dt)}"
+      case StrDom(vals)                   => in(vals.toSeq.sorted)
+    }
   }
 
-  private def fmt(d: Double): String =
-    if (d == math.rint(d) && math.abs(d) < 1e15) d.toLong.toString else d.toString
-
   /** Runs SQL in DuckDB and converts the result set into a DataFrame. */
-  def executeSql(sql: String): DataFrame = {
-    val rs = conn.createStatement().executeQuery(sql)
+  def executeSql(sql: String): DataFrame = Using.Manager { use =>
+    val rs = use(use(conn.createStatement()).executeQuery(sql))
     val meta = rs.getMetaData
     val n = meta.getColumnCount
     val fields = (1 to n).map { i =>
       val dt = meta.getColumnType(i) match {
         case java.sql.Types.BIGINT  => LongType
+        // DuckDB sums BIGINT into HUGEINT; Spark's SUM of a LONG is a LONG
+        case _ if meta.getColumnTypeName(i) == "HUGEINT" => LongType
         case java.sql.Types.INTEGER => IntegerType
         case java.sql.Types.DOUBLE | java.sql.Types.FLOAT | java.sql.Types.NUMERIC
              | java.sql.Types.DECIMAL => DoubleType
@@ -143,9 +151,9 @@ final class DuckDbStorageHandler(spark: SparkSession) extends StorageHandler {
           case (_, v)                    => v.toString
         }
       })
-    }.toSeq
+    }.toVector
     spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), schema)
-  }
+  }.get
 
   def close(): Unit = conn.close()
 }

@@ -115,7 +115,7 @@ class JoinReorderSpec extends SparkSpec with StarFixture {
   test("built join follows the order and produces correct results") {
     val (cat, q) = catalogWithStats
     val plan = JoinReorder.plan(q, cat)
-    val df = JoinReorder.build(spark, q, plan.order)
+    val df = JoinReorder.build(spark, q, plan.order).get
       .filter(col("i_category") === "Sports")
       .agg(count(lit(1)).as("c"))
     val expected = spark.sql(
@@ -123,6 +123,19 @@ class JoinReorderSpec extends SparkSpec with StarFixture {
         |WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk
         |AND i_category = 'Sports'""".stripMargin)
     assert(df.collect()(0).getLong(0) == expected.collect()(0).getLong(0))
+  }
+
+  test("build skips ahead to the first connected table; None when disconnected") {
+    val (_, q) = catalogWithStats
+    // item joins only store_sales, so it waits until store_sales is joined
+    val df = JoinReorder.build(spark, q, Seq("date_dim", "item", "store_sales")).get
+    val expected = spark.sql(
+      """SELECT COUNT(*) FROM store_sales, date_dim, item
+        |WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk""".stripMargin)
+    assert(df.count() == expected.collect()(0).getLong(0))
+    val noItemJoin = q.copy(joins = q.joins.filterNot(_._1 == "i_item_sk"))
+    assert(noItemJoin.joins.size == 1)
+    assert(JoinReorder.build(spark, noItemJoin, Seq("store_sales", "date_dim", "item")).isEmpty)
   }
 
   test("missing statistics fall back to defaults without failing") {

@@ -1,8 +1,13 @@
 package repro.federation.druid
 
+import scala.util.{Failure, Success, Try}
+
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.federation.jdbc.DuckDbStorageHandler
+import repro.metastore.TableDesc
 
 class DruidFederationSpec extends SparkSpec {
 
@@ -115,11 +120,73 @@ class DruidFederationSpec extends SparkSpec {
     handler.metastoreHook(repro.federation.TableDropped("druid_table_2"))
     assert(!spark.catalog.tableExists("druid_table_2"))
   }
+
+  // Pushdown equivalence: every pushed query must return what Spark returns
+  // without pushdown, on both targets, Druid (JSON) and DuckDB (SQL over
+  // JDBC). Each row of `queries` is one query over `typed`.
+
+  /** 100 rows: k 0..99 (LONG), x = k % 5 (DOUBLE), d = 2020-01-01 + k % 10
+    * days (DATE), s cycling over a, o'b, c (STRING). */
+  private lazy val typed = spark.range(0, 100).select(
+    col("id").as("k"),
+    (col("id") % 5).cast("double").as("x"),
+    date_add(lit("2020-01-01").cast("date"), (col("id") % 10).cast("int")).as("d"),
+    element_at(array(lit("a"), lit("o'b"), lit("c")), (col("id") % 3 + 1).cast("int")).as("s"))
+
+  private val queries: Seq[(String, String)] = Seq(
+    "strict range" -> "SELECT COUNT(*) AS c FROM $T WHERE k > 10 AND k < 50",
+    "inclusive range, long sum" -> "SELECT SUM(k) AS sk FROM $T WHERE k >= 10 AND k <= 50",
+    "double range, double sum" -> "SELECT SUM(x) AS sx FROM $T WHERE x > 1.5",
+    "IN on a DOUBLE column" -> "SELECT COUNT(*) AS c FROM $T WHERE x IN (1.0, 2.0)",
+    "IN on a LONG column" -> "SELECT COUNT(k) AS c FROM $T WHERE k IN (1, 2, 3)",
+    "IN on a DATE column" ->
+      "SELECT COUNT(*) AS c FROM $T WHERE d IN (DATE'2020-01-02', DATE'2020-01-03')",
+    "DATE range" -> "SELECT COUNT(*) AS c FROM $T WHERE d >= DATE'2020-01-05'",
+    "string = with a quote" -> """SELECT COUNT(*) AS c FROM $T WHERE s = "o'b"""",
+    "string IN" ->
+      """SELECT s, SUM(x) AS sx, COUNT(*) AS c FROM $T WHERE s IN ('a', "o'b") GROUP BY s""",
+    "sum, count, count(*), min, max" ->
+      """SELECT s, SUM(k) AS sk, SUM(x) AS sx, COUNT(x) AS cx, COUNT(*) AS c,
+        |MIN(x) AS mn, MAX(k) AS mx FROM $T GROUP BY s""".stripMargin,
+    "global aggregate over no rows" ->
+      "SELECT COUNT(*) AS c, SUM(x) AS sx, MIN(k) AS mn, MAX(x) AS mx FROM $T WHERE k > 1000")
+
+  /** Rows as sorted strings; numbers compared at 9 significant digits, so a
+    * LONG and a DOUBLE of the same value agree. */
+  private def canon(rows: Seq[Row]): Seq[String] = rows.map(_.toSeq.map {
+    case null      => "null"
+    case n: Number => f"${n.doubleValue}%.9e"
+    case v         => v.toString
+  }.mkString("|")).sorted
+
+  test("pushed queries on Druid and DuckDB equal the unpushed Spark result") {
+    typed.createOrReplaceTempView("typed")
+    val sim = new DruidSim
+    sim.createDataSource("typed_ds", typed)
+    val fed = new DruidFederation(spark, sim)
+    fed.registerExternalTable("typed_druid", "typed_ds")
+    val duck = new DuckDbStorageHandler(spark)
+    duck.outputFormat(typed, TableDesc("typed_duck", typed.schema, ""))
+    typed.createOrReplaceTempView("typed_duck")
+    def sql(template: String, table: String): DataFrame = spark.sql(template.replace("$T", table))
+    // every row runs on both targets; the test reports all mismatches at once
+    val failures = try queries.flatMap { case (name, q) =>
+      val expected = canon(sql(q, "typed").collect().toSeq)
+      def check(target: String, pushed: => Option[(DataFrame, String)]): Option[String] =
+        Try(pushed.map { case (df, shown) => (canon(df.collect().toSeq), shown) }) match {
+          case Success(Some((got, _))) if got == expected => None
+          case Success(Some((got, shown))) => Some(s"$name on $target: $got, expected $expected; $shown")
+          case Success(None) => Some(s"$name: not pushed to $target")
+          case Failure(e) => Some(s"$name on $target: $e")
+        }
+      check("Druid", fed.pushdown(sql(q, "typed_druid")).map(p => (p.df, p.query.toJson))) ++
+        check("DuckDB", duck.pushdown(sql(q, "typed_duck")))
+    } finally duck.close()
+    assert(failures.isEmpty, failures.mkString("\n", "\n", ""))
+  }
 }
 
 class DuckDbHandlerSpec extends SparkSpec {
-  import repro.federation.jdbc.DuckDbStorageHandler
-  import repro.metastore.TableDesc
 
   private lazy val handler = new DuckDbStorageHandler(spark)
 
