@@ -14,15 +14,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *     choice is approximated by preferring full over partial containment;
   *   - stage 2 (exhaustive): shared-work merging, applied once to fixpoint
   *     just before execution.
-  *
-  * Each feature can be toggled, which is what the "Hive v1.2 vs v3.1" bench
-  * uses to disable the post-2015 optimizer work.
   */
 final class HiveOptimizer(
     spark: SparkSession,
-    mvCatalog: Option[MvCatalog] = None,
-    enableMvRewrite: Boolean = true,
-    enableSharedWork: Boolean = true) {
+    mvCatalog: Option[MvCatalog] = None) {
 
   final case class Optimized(df: DataFrame, rewrites: Seq[String])
 
@@ -30,19 +25,17 @@ final class HiveOptimizer(
     var current = df
     val applied = Seq.newBuilder[String]
 
-    if (enableMvRewrite) mvCatalog.foreach { cat =>
+    mvCatalog.foreach { cat =>
       MvRewriter.rewrite(spark, current, cat).foreach { rw =>
         current = rw.df
         applied += s"mv-rewrite:${rw.view}:${rw.kind}"
       }
     }
 
-    if (enableSharedWork) {
-      val sw = SharedWork.optimize(spark, current)
-      if (sw.sharedSubplans > 0) {
-        current = sw.df
-        applied += s"shared-work:${sw.sharedSubplans}"
-      }
+    val sw = SharedWork.optimize(spark, current)
+    if (sw.sharedSubplans > 0) {
+      current = sw.df
+      applied += s"shared-work:${sw.sharedSubplans}"
     }
 
     Optimized(current, applied.result())

@@ -5,6 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 
 import scala.concurrent.{Await, Promise}
 import scala.concurrent.duration.Duration
+import scala.util.Success
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.{CurrentDate, CurrentTimestamp}
@@ -23,7 +24,9 @@ import org.apache.spark.sql.types.StructType
   *
   * The *pending-entry* mode guards against a thundering herd: the first
   * query computing a key installs a pending promise, and identical
-  * concurrent queries wait for its result instead of recomputing.
+  * concurrent queries wait for its result instead of recomputing. If the
+  * first query fails, only it throws: each waiter then computes the result
+  * itself.
   */
 final class ResultCache(spark: SparkSession, maxEntries: Int = 64) {
 
@@ -65,9 +68,11 @@ final class ResultCache(spark: SparkSession, maxEntries: Int = 64) {
     val existing = pending.putIfAbsent(key, myPromise)
     if (existing != null) {
       herdWaits.incrementAndGet()
-      val e = Await.result(existing.future, Duration.Inf)
-      return if (e.snapshot == snapshot) { hits.incrementAndGet(); (e.rows.toSeq, true) }
-             else { misses.incrementAndGet(); (df.collect().toSeq, false) }
+      // a waiter whose leader failed computes the result itself
+      return Await.ready(existing.future, Duration.Inf).value.get match {
+        case Success(e) if e.snapshot == snapshot => hits.incrementAndGet(); (e.rows.toSeq, true)
+        case _ => misses.incrementAndGet(); (df.collect().toSeq, false)
+      }
     }
 
     try {

@@ -30,39 +30,55 @@ final case class DruidQuery(
     limitSpec: Option[LimitSpec] = None) {
 
   def toJson: String = {
+    import DruidQuery.str
     def fjson(f: DruidFilter): String = f match {
-      case Selector(d, v) => s"""{ "type": "selector", "dimension": "$d", "value": "$v" }"""
+      case Selector(d, v) => s"""{ "type": "selector", "dimension": ${str(d)}, "value": ${str(v)} }"""
       case Bound(d, lo, hi, ls, us) =>
-        val parts = Seq(s""""type": "bound"""", s""""dimension": "$d"""") ++
-          lo.map(v => s""""lower": "$v", "lowerStrict": $ls""") ++
-          hi.map(v => s""""upper": "$v", "upperStrict": $us""")
+        val parts = Seq(s""""type": "bound"""", s""""dimension": ${str(d)}""") ++
+          lo.map(v => s""""lower": ${str(v.toString)}, "lowerStrict": $ls""") ++
+          hi.map(v => s""""upper": ${str(v.toString)}, "upperStrict": $us""")
         s"{ ${parts.mkString(", ")} }"
       case InFilter(d, vs) =>
-        s"""{ "type": "in", "dimension": "$d", "values": [${vs.map(v => s""""$v"""").mkString(", ")}] }"""
+        s"""{ "type": "in", "dimension": ${str(d)}, "values": [${vs.map(str).mkString(", ")}] }"""
       case AndFilter(fs) => s"""{ "type": "and", "fields": [${fs.map(fjson).mkString(", ")}] }"""
     }
     val fields = Seq(
-      Some(s""""queryType": "$queryType""""),
-      Some(s""""dataSource": "$dataSource""""),
+      Some(s""""queryType": ${str(queryType)}"""),
+      Some(s""""dataSource": ${str(dataSource)}"""),
       Some(s""""granularity": "all""""),
       if (dimensions.nonEmpty)
-        Some(s""""dimensions": [${dimensions.map(d => s""""$d"""").mkString(", ")}]""")
+        Some(s""""dimensions": [${dimensions.map(str).mkString(", ")}]""")
       else None,
       if (aggregations.nonEmpty)
         Some(s""""aggregations": [${aggregations.map(a =>
-          s"""{ "type": "${a.aggType}", "name": "${a.name}", "fieldName": "${a.fieldName}" }""")
+          s"""{ "type": ${str(a.aggType)}, "name": ${str(a.name)}, "fieldName": ${str(a.fieldName)} }""")
           .mkString(", ")}]""")
       else None,
       filter.map(f => s""""filter": ${fjson(f)}"""),
-      intervals.map { case (lo, hi) => s""""intervals": [ "$lo/$hi" ]""" },
+      intervals.map { case (lo, hi) => s""""intervals": [ ${str(s"$lo/$hi")} ]""" },
       limitSpec.map { ls =>
         s""""limitSpec": { "limit": ${ls.limit}, "columns": [${ls.columns.map {
           case (c, desc) =>
-            s"""{"dimension": "$c", "direction": "${if (desc) "descending" else "ascending"}"}"""
+            s"""{"dimension": ${str(c)}, "direction": "${if (desc) "descending" else "ascending"}"}"""
         }.mkString(", ")}] }"""
       },
     ).flatten
     s"{\n  ${fields.mkString(",\n  ")}\n}"
+  }
+}
+
+object DruidQuery {
+  /** `v` as a JSON string literal: quoted, with `"`, the backslash and
+    * control characters escaped. Every string `toJson` renders goes through here. */
+  private def str(v: String): String = {
+    val b = new StringBuilder("\"")
+    v.foreach {
+      case '"'           => b ++= "\\\""
+      case '\\'          => b ++= "\\\\"
+      case c if c < ' '  => b ++= f"\\u${c.toInt}%04x"
+      case c             => b += c
+    }
+    (b += '"').result()
   }
 }
 

@@ -182,8 +182,4 @@ object LlapIo {
     _metaCache.clear()
     _elevator = new IoElevator(_cache, _metaCache)
   }
-
-  /** Container mode between queries: no persistent daemon, so nothing
-    * survives — both caches are dropped. */
-  def dropAll(): Unit = { _cache.clear(); _metaCache.clear() }
 }

@@ -17,16 +17,12 @@ object Timing {
     times(times.size / 2)
   }
 
-  /** Renders a two-column comparison table used by the bench suites. */
-  def table(title: String, header: (String, String, String), rows: Seq[(String, String, String)]): String = {
+  /** Renders the comparison table used by the bench suites. */
+  def table(title: String, header: Seq[String], rows: Seq[Seq[String]]): String = {
     val all = header +: rows
-    val w1 = all.map(_._1.length).max
-    val w2 = all.map(_._2.length).max
-    val w3 = all.map(_._3.length).max
-    val sep = "-" * (w1 + w2 + w3 + 8)
-    val lines = all.map { case (a, b, c) =>
-      s"| ${a.padTo(w1, ' ')} | ${b.padTo(w2, ' ')} | ${c.padTo(w3, ' ')} |"
-    }
+    val widths = header.indices.map(i => all.map(_(i).length).max)
+    val lines = all.map(_.zip(widths).map { case (c, w) => c.padTo(w, ' ') }.mkString("| ", " | ", " |"))
+    val sep = "-" * lines.head.length
     (title +: sep +: lines.head +: sep +: lines.tail :+ sep).mkString("\n")
   }
 }

@@ -177,15 +177,6 @@ class HiveOptimizerSpec extends SparkSpec with StarFixture {
     cat.drop("mv_opt")
   }
 
-  test("disabled features leave the plan untouched") {
-    val cat = starCatalog()
-    val opt = new HiveOptimizer(spark, Some(cat),
-      enableMvRewrite = false, enableSharedWork = false)
-    val df = spark.sql("SELECT COUNT(*) AS c FROM store_sales")
-    val out = opt.optimize(df)
-    assert(out.rewrites.isEmpty && (out.df eq df))
-  }
-
   test("shared-work stage fires on repeated subexpressions") {
     starCatalog()
     val sub = "SELECT ss_item_sk AS k, COUNT(*) AS c FROM store_sales GROUP BY ss_item_sk"

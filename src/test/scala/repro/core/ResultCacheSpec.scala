@@ -1,6 +1,7 @@
 package repro.core
 
-import java.util.concurrent.Executors
+import java.util.concurrent.{Callable, CountDownLatch, ExecutionException, Executors, TimeUnit}
+import java.util.concurrent.atomic.AtomicBoolean
 
 import org.apache.spark.sql.functions._
 
@@ -106,5 +107,50 @@ class ResultCacheSpec extends SparkSpec with StarFixture {
       assert(cache.misses.get == 1, s"herd recomputed: misses=${cache.misses.get}")
       assert(hits >= 1)
     } finally pool.shutdown()
+  }
+
+  test("a failed leader does not take down the query waiting on its entry") {
+    starCatalog()
+    val cache = freshCache()
+    FailingLeader.cache = cache
+    FailingLeader.armed.set(true)
+    val passOrFail = udf((v: Long) => FailingLeader.passOrFail(v))
+    def q = spark.table("store_sales").agg(sum(passOrFail(col("ss_quantity"))).as("s"))
+    val expected = spark.table("store_sales").agg(sum(col("ss_quantity")).as("s")).collect().toSeq
+    def run(): Callable[(Seq[org.apache.spark.sql.Row], Boolean)] = () => cache.getOrCompute(q, snapA)
+    val pool = Executors.newFixedThreadPool(2)
+    try {
+      val leader = pool.submit(run())
+      assert(FailingLeader.entered.await(60, TimeUnit.SECONDS), "the leader's query never started")
+      val waiter = pool.submit(run())
+      intercept[ExecutionException](leader.get())
+      val (rows, hit) = waiter.get()
+      assert(rows == expected && !hit)
+      assert(cache.herdWaits.get == 1 && cache.misses.get == 2 && cache.hits.get == 0)
+      // no pending entry is left behind: the next query leads without
+      // waiting, and caches its result for the one after
+      assert(cache.getOrCompute(q, snapA) == ((expected, false)))
+      assert(cache.getOrCompute(q, snapA) == ((expected, true)))
+      assert(cache.herdWaits.get == 1)
+    } finally pool.shutdown()
+  }
+}
+
+/** The first row the armed query evaluates blocks until another query waits
+  * on the same result-cache entry, then throws; every later row passes. An
+  * object, so the Spark tasks share it instead of copies of it. */
+private object FailingLeader {
+  @volatile var cache: ResultCache = _
+  val armed = new AtomicBoolean(false)
+  val entered = new CountDownLatch(1)
+
+  def passOrFail(v: Long): Long = {
+    if (armed.compareAndSet(true, false)) {
+      entered.countDown()
+      val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(60)
+      while (cache.herdWaits.get < 1 && System.nanoTime() < deadline) Thread.sleep(5)
+      throw new IllegalStateException("leader fails")
+    }
+    v
   }
 }

@@ -2,6 +2,8 @@ package repro.federation.druid
 
 import scala.util.{Failure, Success, Try}
 
+import com.fasterxml.jackson.databind.ObjectMapper
+
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
@@ -123,7 +125,8 @@ class DruidFederationSpec extends SparkSpec {
 
   // Pushdown equivalence: every pushed query must return what Spark returns
   // without pushdown, on both targets, Druid (JSON) and DuckDB (SQL over
-  // JDBC). Each row of `queries` is one query over `typed`.
+  // JDBC), and every pushed Druid query must render valid JSON. Each row of
+  // `queries` is one query over `typed`.
 
   /** 100 rows: k 0..99 (LONG), x = k % 5 (DOUBLE), d = 2020-01-01 + k % 10
     * days (DATE), s cycling over a, o'b, c (STRING). */
@@ -145,6 +148,8 @@ class DruidFederationSpec extends SparkSpec {
     "string = with a quote" -> """SELECT COUNT(*) AS c FROM $T WHERE s = "o'b"""",
     "string IN" ->
       """SELECT s, SUM(x) AS sx, COUNT(*) AS c FROM $T WHERE s IN ('a', "o'b") GROUP BY s""",
+    "string with a double quote and a backslash" ->
+      """SELECT s, COUNT(*) AS c FROM $T WHERE s IN ('a', 'q"\\z') GROUP BY s""",
     "sum, count, count(*), min, max" ->
       """SELECT s, SUM(k) AS sk, SUM(x) AS sx, COUNT(x) AS cx, COUNT(*) AS c,
         |MIN(x) AS mn, MAX(k) AS mx FROM $T GROUP BY s""".stripMargin,
@@ -169,6 +174,7 @@ class DruidFederationSpec extends SparkSpec {
     duck.outputFormat(typed, TableDesc("typed_duck", typed.schema, ""))
     typed.createOrReplaceTempView("typed_duck")
     def sql(template: String, table: String): DataFrame = spark.sql(template.replace("$T", table))
+    val druidJson = new ObjectMapper
     // every row runs on both targets; the test reports all mismatches at once
     val failures = try queries.flatMap { case (name, q) =>
       val expected = canon(sql(q, "typed").collect().toSeq)
@@ -179,7 +185,11 @@ class DruidFederationSpec extends SparkSpec {
           case Success(None) => Some(s"$name: not pushed to $target")
           case Failure(e) => Some(s"$name on $target: $e")
         }
-      check("Druid", fed.pushdown(sql(q, "typed_druid")).map(p => (p.df, p.query.toJson))) ++
+      check("Druid", fed.pushdown(sql(q, "typed_druid")).map { p =>
+        val json = p.query.toJson
+        druidJson.readTree(json) // throws on invalid JSON
+        (p.df, json)
+      }) ++
         check("DuckDB", duck.pushdown(sql(q, "typed_duck")))
     } finally duck.close()
     assert(failures.isEmpty, failures.mkString("\n", "\n", ""))

@@ -1,64 +1,8 @@
 package repro.llap
 
-import java.util.concurrent.atomic.AtomicInteger
-
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.metastore._
-
-class LlapDaemonSpec extends AnyFunSuite {
-
-  test("daemon executes fragments and counts them") {
-    val d = new LlapDaemon(4)
-    val results = d.runQuery((1 to 8).map(i => () => i * i))
-    assert(results == Seq(1, 4, 9, 16, 25, 36, 49, 64))
-    assert(d.fragmentsExecuted.get == 8)
-    d.shutdown()
-  }
-
-  test("daemon runs fragments concurrently up to the executor count") {
-    val d = new LlapDaemon(4)
-    val concurrent = new AtomicInteger(0)
-    val peak = new AtomicInteger(0)
-    d.runQuery((1 to 8).map(_ => () => {
-      val c = concurrent.incrementAndGet()
-      peak.updateAndGet(p => math.max(p, c))
-      Thread.sleep(30)
-      concurrent.decrementAndGet()
-    }))
-    assert(peak.get >= 2 && peak.get <= 4, s"peak=$peak")
-    d.shutdown()
-  }
-
-  test("daemon persists across queries (no per-query start-up)") {
-    val d = new LlapDaemon(2)
-    val t0 = System.nanoTime()
-    (1 to 5).foreach(_ => d.runQuery(Seq(() => 1)))
-    val ms = (System.nanoTime() - t0) / 1000000
-    assert(ms < 500, s"daemon queries should be near-instant, took ${ms}ms")
-    d.shutdown()
-  }
-
-  test("container runtime pays the allocation delay on every query") {
-    val c = new ContainerRuntime(2, allocationDelayMs = 50)
-    val t0 = System.nanoTime()
-    (1 to 3).foreach(_ => c.runQuery(Seq(() => 1)))
-    val ms = (System.nanoTime() - t0) / 1000000
-    assert(ms >= 150, s"3 queries x 50ms allocation, took only ${ms}ms")
-    assert(c.containersAllocated.get == 6)
-  }
-
-  test("container runtime drops the LLAP caches after each query") {
-    LlapIo.configure(16L << 20)
-    // warm the cache artificially
-    val b = new ColumnVec.Builder(org.apache.spark.sql.types.LongType, 4)
-    (1 to 4).foreach(i => b.appendLong(i.toLong))
-    LlapIo.cache.put(ChunkKey("f", 0, 0), b.result())
-    assert(LlapIo.cache.entryCount == 1)
-    new ContainerRuntime(1, 0).runQuery(Seq(() => 1))
-    assert(LlapIo.cache.entryCount == 0, "containers must not inherit cache state")
-  }
-}
 
 class WorkloadManagerSpec extends AnyFunSuite {
 
