@@ -4,7 +4,6 @@ import java.io.File
 import java.nio.file.{Files, StandardCopyOption}
 
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -246,18 +245,14 @@ final class AcidTable(val catalog: Catalog, val name: String) {
 
   /** Attaches the (WriteId, FileId, RowId) identity to every row. FileIds
     * embed a per-write batch number so two writes under the same WriteId
-    * (e.g. MERGE's update-insert plus not-matched-insert) never collide. */
+    * (e.g. MERGE's update-insert plus not-matched-insert) never collide;
+    * RowIds are unique within one write, so numbering needs no shuffle. */
   private def assignRowIds(df: DataFrame, writeId: Long): DataFrame = {
     val batch = AcidTable.nextFileBatch()
-    val staged = df
-      .withColumn(FileIdCol, (lit(batch * AcidTable.FileBatchStride) +
+    df.withColumn(FileIdCol, (lit(batch * AcidTable.FileBatchStride) +
         spark_partition_id().cast(LongType)).cast(LongType))
-      .withColumn("__mid", monotonically_increasing_id())
-    val win = Window.partitionBy(col(FileIdCol)).orderBy(col("__mid"))
-    staged
-      .withColumn(RowIdCol, row_number().over(win).cast(LongType))
+      .withColumn(RowIdCol, monotonically_increasing_id())
       .withColumn(WriteIdCol, lit(writeId))
-      .drop("__mid")
   }
 
   /** Writes `rows` (user columns) as `delta_w_w` and records the partitions

@@ -20,7 +20,7 @@ import AcidLayout._
   * The compaction horizon `hi` is the highest WriteId below the lowest
   * write of any still-open transaction; records of aborted transactions at
   * or below `hi` are physically dropped and their bookkeeping is purged
-  * from the metastore, shrinking future snapshots.
+  * from the metastore, shrinking future snapshots and transaction lists.
   */
 final class Compactor(table: AcidTable) {
 

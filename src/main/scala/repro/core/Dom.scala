@@ -31,6 +31,11 @@ final case class NumDom(
   def nonEmptyInterval: Boolean =
     lo < hi || (lo == hi && loIncl && hiIncl)
 
+  /** True when the interval, IN-set aside, admits a value in [mn, mx]: the
+    * row-group test of the LLAP elevator's min/max index. */
+  def overlaps(mn: Double, mx: Double): Boolean =
+    intersect(NumDom(mn, true, mx, true, None)).nonEmptyInterval
+
   /** Values of the IN-set that survive the interval, when the set exists. */
   def effectiveSet: Option[Set[Double]] =
     inSet.map(_.filter(v => (v > lo || (loIncl && v == lo)) && (v < hi || (hiIncl && v == hi))))

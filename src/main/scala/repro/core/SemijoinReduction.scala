@@ -2,9 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.util.sketch.BloomFilter
 
 import repro.acid.AcidTable
-import repro.util.BloomFilter
 
 /** Dynamic semijoin reduction (§4.6).
   *
@@ -59,8 +59,9 @@ object SemijoinReduction {
       val reduced = fact.where(col(factCol).isin(keys.map(_.asInstanceOf[Any]).toSeq: _*))
       (reduced, ReducerInfo(keys.length, "in-pushdown", mn, mx))
     } else {
-      val bloom = BloomFilter.of(keys)
-      val mightContain = udf((v: Long) => bloom.mightContain(v))
+      val bloom = BloomFilter.create(keys.length.toLong, 0.03)
+      keys.foreach(bloom.putLong)
+      val mightContain = udf((v: Long) => bloom.mightContainLong(v))
       val reducer: Column =
         col(factCol) >= mn && col(factCol) <= mx && mightContain(col(factCol))
       (fact.where(reducer), ReducerInfo(keys.length, "range-bloom", mn, mx))

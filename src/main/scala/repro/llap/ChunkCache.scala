@@ -72,7 +72,6 @@ final class ChunkCache(val capacityBytes: Long, lambda: Double = 0.05) {
   def usedBytes: Long = synchronized(used)
   def entryCount: Int = synchronized(map.size)
   def contains(key: ChunkKey): Boolean = synchronized(map.contains(key))
-  def resetMetrics(): Unit = { hits.set(0); misses.set(0); evictions.set(0) }
 }
 
 /** Metadata cache: file metadata (schema + chunk index, including min/max

@@ -15,6 +15,8 @@ import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
 
+import repro.core.{Dom, InPred, NumDom, Pred, RangePred}
+
 /** DataSourceV2 provider for OrcLite directories served through the LLAP
   * I/O elevator (§5.1).
   *
@@ -24,10 +26,10 @@ import org.apache.spark.unsafe.types.UTF8String
   *                    metadata caches; "false" models container execution
   *                    reading straight from disk.
   *
-  * Column pruning and sargable predicates are pushed into the elevator,
-  * which skips row groups via min/max and Bloom indexes. All filters are
-  * also left for Spark to re-evaluate, so pruning is purely an I/O
-  * optimization and never affects results.
+  * Column pruning and sargable predicates are pushed into the elevator as
+  * one core [[NumDom]] per column, which skips row groups via min/max and
+  * Bloom indexes. All filters are also left for Spark to re-evaluate, so
+  * pruning is purely an I/O optimization and never affects results.
   */
 final class LlapTableProvider extends TableProvider with DataSourceRegister {
 
@@ -72,11 +74,11 @@ private final class LlapScanBuilder(path: String, tableSchema: StructType, llap:
 
   private var required: StructType = tableSchema
   private var accepted: Array[sources.Filter] = Array.empty
-  private var sargs: Seq[Sarg] = Seq.empty
+  private var doms: Map[String, NumDom] = Map.empty
 
   override def pushFilters(filters: Array[sources.Filter]): Array[sources.Filter] = {
-    val (s, acc) = LlapScanBuilder.toSargs(filters, tableSchema)
-    sargs = s
+    val (d, acc) = LlapScanBuilder.toDoms(filters)
+    doms = d
     accepted = acc
     filters // all filters remain residual: Spark re-applies them on rows
   }
@@ -85,44 +87,50 @@ private final class LlapScanBuilder(path: String, tableSchema: StructType, llap:
 
   override def pruneColumns(requiredSchema: StructType): Unit = { required = requiredSchema }
 
-  override def build(): Scan = new LlapScan(path, required, sargs, llap)
+  override def build(): Scan = new LlapScan(path, required, doms, llap)
 }
 
 private object LlapScanBuilder {
-  /** Maps v1 filters onto elevator sargs; returns (sargs, accepted). */
-  def toSargs(filters: Array[sources.Filter], schema: StructType): (Seq[Sarg], Array[sources.Filter]) = {
+  /** Maps v1 filters onto core predicates and folds them into one numeric
+    * domain per column; returns (domains, accepted filters). */
+  def toDoms(filters: Array[sources.Filter]): (Map[String, NumDom], Array[sources.Filter]) = {
     def num(v: Any): Option[Double] = v match {
       case n: Number         => Some(n.doubleValue)
       case d: java.sql.Date  => Some(d.toLocalDate.toEpochDay.toDouble)
       case d: java.time.LocalDate => Some(d.toEpochDay.toDouble)
       case _                 => None
     }
-    def integral(c: String): Boolean =
-      schema.fields.find(_.name == c).exists(f => ColumnVec.isIntegral(f.dataType))
-    // Bounds and row-group stats are doubles. Beyond 2^53 neighbouring longs
-    // share a double, so a strict bound there stays inclusive.
+    // Bounds, row-group stats and IN values are doubles. From 2^53 on,
+    // neighbouring longs share a double: a strict bound there stays
+    // inclusive, and an equality or IN value is not pushed at all, since
+    // the Bloom index would be probed with a rounded key.
     def exact(d: Double): Boolean = math.abs(d) < 9007199254740992.0
+    def key(v: Any): Option[Double] = num(v).filter(exact)
+    val inf = Double.PositiveInfinity
 
     val out = filters.flatMap { f =>
-      val sarg: Option[Sarg] = f match {
-        case sources.EqualTo(c, v)            => num(v).map(SargEquals(c, _))
-        case sources.GreaterThan(c, v)        => num(v).map(d => SargRange(c, d, Double.MaxValue, loIncl = !exact(d)))
-        case sources.GreaterThanOrEqual(c, v) => num(v).map(SargRange(c, _, Double.MaxValue))
-        case sources.LessThan(c, v)           => num(v).map(d => SargRange(c, Double.MinValue, d, hiIncl = !exact(d)))
-        case sources.LessThanOrEqual(c, v)    => num(v).map(SargRange(c, Double.MinValue, _))
-        case sources.In(c, vs) if integral(c) && vs.nonEmpty && vs.forall(v => num(v).isDefined) =>
-          Some(SargIn(c, vs.flatMap(num).map(_.toLong).toSet))
+      val pred: Option[Pred] = f match {
+        case sources.EqualTo(c, v)            => key(v).map(d => InPred(c, Set(d)))
+        case sources.GreaterThan(c, v)        => num(v).map(d => RangePred(c, d, !exact(d), inf, true))
+        case sources.GreaterThanOrEqual(c, v) => num(v).map(RangePred(c, _, true, inf, true))
+        case sources.LessThan(c, v)           => num(v).map(d => RangePred(c, -inf, true, d, !exact(d)))
+        case sources.LessThanOrEqual(c, v)    => num(v).map(RangePred(c, -inf, true, _, true))
+        case sources.In(c, vs) =>
+          val ds = vs.toSeq.map(key)
+          if (ds.forall(_.isDefined)) Some(InPred(c, ds.flatten.toSet)) else None
         case _ => None
       }
-      sarg.map(s => (s, f))
+      pred.map(p => (p, f))
     }
-    (out.map(_._1).toSeq, out.map(_._2))
+    val doms = Dom.ofPreds(out.map(_._1).toSeq).getOrElse(Map.empty)
+      .collect { case (c, d: NumDom) => c -> d }
+    (doms, out.map(_._2))
   }
 }
 
 private final case class LlapInputPartition(file: String) extends InputPartition
 
-private final class LlapScan(path: String, required: StructType, sargs: Seq[Sarg], llap: Boolean)
+private final class LlapScan(path: String, required: StructType, doms: Map[String, NumDom], llap: Boolean)
     extends Scan with Batch {
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
@@ -130,26 +138,26 @@ private final class LlapScan(path: String, required: StructType, sargs: Seq[Sarg
     LlapTableProvider.listFiles(new File(path))
       .map(f => LlapInputPartition(f.toString): InputPartition).toArray
   override def createReaderFactory(): PartitionReaderFactory =
-    new LlapReaderFactory(required, sargs, llap)
+    new LlapReaderFactory(required, doms, llap)
   override def description(): String =
-    s"OrcLite(path=$path, llap=$llap, sargs=${sargs.mkString(",")})"
+    s"OrcLite(path=$path, llap=$llap, doms=${doms.mkString(",")})"
 }
 
-private final class LlapReaderFactory(required: StructType, sargs: Seq[Sarg], llap: Boolean)
+private final class LlapReaderFactory(required: StructType, doms: Map[String, NumDom], llap: Boolean)
     extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
     val file = new File(partition.asInstanceOf[LlapInputPartition].file)
-    new LlapPartitionReader(file, required, sargs, llap)
+    new LlapPartitionReader(file, required, doms, llap)
   }
 }
 
 /** Streams InternalRows out of the elevator's row batches. */
 private final class LlapPartitionReader(
-    file: File, required: StructType, sargs: Seq[Sarg], llap: Boolean)
+    file: File, required: StructType, doms: Map[String, NumDom], llap: Boolean)
     extends PartitionReader[InternalRow] {
 
   private val batches =
-    LlapIo.elevator.scan(file, required.fieldNames.toSeq, sargs, useCache = llap)
+    LlapIo.elevator.scan(file, required.fieldNames.toSeq, doms, useCache = llap)
   private var batch: RowBatch = _
   private var i = 0
 

@@ -4,8 +4,7 @@ import java.io._
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
-
-import repro.util.BloomFilter
+import org.apache.spark.util.sketch.BloomFilter
 
 /** Per-(row group, column) index entry: min/max plus an optional Bloom
   * filter over integral values — the structures the I/O elevator uses to
@@ -89,9 +88,11 @@ object OrcLite {
             }
           }
           val bloom =
-            if (ColumnVec.isIntegral(f.dataType) && distinct.nonEmpty)
-              Some(BloomFilter.of(distinct.map(identity)))
-            else None
+            if (ColumnVec.isIntegral(f.dataType) && distinct.nonEmpty) {
+              val bf = BloomFilter.create(distinct.size.toLong, 0.03)
+              distinct.foreach(bf.putLong)
+              Some(bf)
+            } else None
           val bytes = encodeChunk(b.result())
           out.write(bytes)
           entries(c) = ChunkIndex(offset, bytes.length, group.size,

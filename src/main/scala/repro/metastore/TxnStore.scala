@@ -55,7 +55,8 @@ final class TxnStore {
   private val nextWriteId = mutable.Map[String, Long]()
   /** table -> all allocated writeIds and their owning txn. Entries persist
     * after commit so any snapshot can decide visibility of any write; the
-    * compactor prunes aborted entries via [[forgetAbortedWrites]]. */
+    * compactor prunes aborted entries, and with the last of them the
+    * aborted txn itself, via [[forgetAbortedWrites]]. */
   private val tableWrites = mutable.Map[String, mutable.Map[Long, Long]]() // writeId -> txnId
   /** committed write sets: (table, partition, kind, commitSeq) */
   private val committedWriteSets = mutable.ArrayBuffer[(String, String, WriteKind.Value, Long)]()
@@ -162,13 +163,6 @@ final class TxnStore {
     WriteIdList(table, hwm, invalid)
   }
 
-  /** Drops aborted-txn bookkeeping at or below `txnId` — called by the
-    * compactor once it has physically removed the aborted records, so
-    * snapshots shrink over time (§3.2 "major compaction deletes history"). */
-  def purgeAbortedBelow(txnId: Long): Unit = synchronized {
-    aborted.filterInPlace(_ > txnId)
-  }
-
   /** WriteIds on `table` that belong to still-open transactions. The
     * compactor must not fold anything at or above the lowest of these. */
   def openWrites(table: String): Set[Long] = synchronized {
@@ -178,12 +172,15 @@ final class TxnStore {
   }
 
   /** Forgets aborted writes at or below `upTo` on `table` after compaction
-    * physically removed their records: future snapshots shrink ("major
-    * compaction deletes history"). */
+    * physically removed their records, then every aborted transaction that
+    * no table's writes still reference: future snapshots and transaction
+    * lists shrink ("major compaction deletes history"). */
   def forgetAbortedWrites(table: String, upTo: Long): Unit = synchronized {
     tableWrites.get(table).foreach(_.filterInPlace { (w, t) =>
       !(w <= upTo && aborted.contains(t))
     })
+    val referenced = tableWrites.valuesIterator.flatMap(_.valuesIterator).filter(aborted.contains).toSet
+    aborted.filterInPlace(referenced.contains)
   }
 
   // ---- locks (§3.2): shared for reads/writes, exclusive for DROP ----

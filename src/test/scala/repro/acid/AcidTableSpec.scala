@@ -1,7 +1,10 @@
 package repro.acid
 
 import java.nio.file.Files
+import java.util.concurrent.atomic.AtomicInteger
 
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -31,6 +34,22 @@ trait AcidFixture { self: SparkSpec =>
 
   def collectKv(df: DataFrame): Set[(Long, Double)] =
     df.select("k", "v").collect().map(r => (r.getLong(0), r.getDouble(1))).toSet
+
+  /** Spark (jobs, stages) started while `body` runs, counted once the
+    * listener bus has delivered every event. */
+  def startedDuring(body: => Unit): (Int, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val stages = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit = stages.incrementAndGet()
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try { body; ListenerBusAccess.drain(sc) } finally sc.removeSparkListener(listener)
+    (jobs.get, stages.get)
+  }
 }
 
 class AcidTableSpec extends SparkSpec with AcidFixture {
@@ -180,6 +199,16 @@ class AcidTableSpec extends SparkSpec with AcidFixture {
       .select(AcidLayout.WriteIdCol, AcidLayout.FileIdCol, AcidLayout.RowIdCol)
       .collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2)))
     assert(ids.length == 150 && ids.distinct.length == 150)
+  }
+
+  test("an insert numbers its rows within one Spark stage") {
+    val (c, t) = freshTable("t_one_stage")
+    val rows = rowsDf((1L to 50L).map(i => (i, i.toDouble, "x")))
+    val txn = c.txns.openTxn()
+    val (_, stages) = startedDuring(t.insert(txn, rows))
+    c.txns.commit(txn)
+    assert(stages == 1, s"the insert ran $stages Spark stages; numbering rows must not shuffle")
+    assert(t.readCurrent().count() == 50)
   }
 
   test("multi-table write in a single transaction commits atomically") {

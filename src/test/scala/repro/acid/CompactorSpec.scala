@@ -64,6 +64,7 @@ class CompactorSpec extends SparkSpec with AcidFixture {
     // aborted write bookkeeping gone, data correct
     assert(c.txns.writeIdList("t_major_abort", c.txns.txnList()).invalid.isEmpty,
       "aborted WriteIds still burden every snapshot")
+    assert(!c.txns.txnList().openOrAborted.contains(bad), "the aborted txn still burdens every TxnList")
     assert(!collectKv(t.readCurrent()).exists(_._1 == 9999L))
   }
 

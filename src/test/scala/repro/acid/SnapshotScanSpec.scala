@@ -2,13 +2,11 @@ package repro.acid
 
 import java.io.File
 import java.nio.file.{Files, Path}
-import java.util.concurrent.atomic.AtomicInteger
 
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
@@ -55,20 +53,6 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
   private def hasScalaUdf(p: LogicalPlan): Boolean =
     nodes(p).exists(_.expressions.exists(_.exists(_.isInstanceOf[ScalaUDF])))
 
-  /** Spark jobs started while `body` runs, counted once the listener bus
-    * has delivered every event. */
-  private def jobsDuring(body: => Unit): Int = {
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    ListenerBusAccess.drain(sc)
-    sc.addSparkListener(listener)
-    try { body; ListenerBusAccess.drain(sc) } finally sc.removeSparkListener(listener)
-    jobs.get
-  }
-
   /** The query executions `body` runs, as the listener bus reports them. */
   private def executionsDuring(body: => Unit): Seq[QueryExecution] = {
     val seen = mutable.ArrayBuffer.empty[QueryExecution]
@@ -99,8 +83,8 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     val snap = t.currentSnapshot()
     var read: DataFrame = null
     var delta: DataFrame = null
-    assert(jobsDuring { read = t.read(snap) } == 0, "building read(snap) started a Spark job")
-    assert(jobsDuring { delta = t.readDelta(1L, snap) } == 0, "building readDelta started a Spark job")
+    assert(startedDuring { read = t.read(snap) }._1 == 0, "building read(snap) started a Spark job")
+    assert(startedDuring { delta = t.readDelta(1L, snap) }._1 == 0, "building readDelta started a Spark job")
 
     val expected = (for (b <- 0 until 4; i <- 1L to 10L if (b * 100 + i) % 5 != 0)
       yield (b * 100 + i, i.toDouble, (i % 2).toInt)).toSet

@@ -7,7 +7,7 @@ import org.apache.spark.sql.Row
 import org.apache.spark.sql.types._
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.util.BloomFilter
+import repro.core.NumDom
 
 class IoElevatorSpec extends AnyFunSuite {
 
@@ -25,6 +25,11 @@ class IoElevatorSpec extends AnyFunSuite {
   private def freshElevator(): IoElevator =
     new IoElevator(new ChunkCache(64L << 20), new MetaCache)
 
+  private val inf = Double.PositiveInfinity
+  private def range(lo: Double, hi: Double, loIncl: Boolean = true, hiIncl: Boolean = true) =
+    NumDom(lo, loIncl, hi, hiIncl, None)
+  private def in(vs: Double*) = NumDom(-inf, true, inf, true, Some(vs.toSet))
+
   test("full scan returns all rows of the projection") {
     val e = freshElevator()
     val total = e.scan(makeFile(), Seq("k", "v")).map(_.numRows).sum
@@ -34,15 +39,15 @@ class IoElevatorSpec extends AnyFunSuite {
 
   test("range sarg skips non-overlapping row groups") {
     val e = freshElevator()
-    val total = e.scan(makeFile(), Seq("k"), Seq(SargRange("k", 2500, 3500))).map(_.numRows).sum
+    val total = e.scan(makeFile(), Seq("k"), Map("k" -> range(2500, 3500))).map(_.numRows).sum
     assert(total == 2000) // groups [2001..3000] and [3001..4000]
     assert(e.metrics.rowGroupsSkipped.get == 8)
   }
 
   test("strict range bounds skip the row groups that only touch them") {
     val e = freshElevator()
-    val strict = SargRange("k", 1000, 3001, loIncl = false, hiIncl = false)
-    val total = e.scan(makeFile(), Seq("k"), Seq(strict)).map(_.numRows).sum
+    val strict = range(1000, 3001, loIncl = false, hiIncl = false)
+    val total = e.scan(makeFile(), Seq("k"), Map("k" -> strict)).map(_.numRows).sum
     assert(total == 2000) // [1..1000] ends at lo and [3001..4000] starts at hi
     assert(e.metrics.rowGroupsSkipped.get == 8)
   }
@@ -50,38 +55,52 @@ class IoElevatorSpec extends AnyFunSuite {
   test("strict filters map to exclusive bounds while doubles hold them exactly") {
     import org.apache.spark.sql.sources
     val big = (1L << 53) + 1
-    val (sargs, _) = LlapScanBuilder.toSargs(
-      Array(sources.GreaterThan("k", 5L), sources.LessThan("k", 9L), sources.GreaterThan("k", big)), schema)
-    assert(sargs == Seq(
-      SargRange("k", 5, Double.MaxValue, loIncl = false),
-      SargRange("k", Double.MinValue, 9, hiIncl = false),
-      SargRange("k", big.toDouble, Double.MaxValue)))
+    def doms(f: sources.Filter): Map[String, NumDom] = {
+      val (d, accepted) = LlapScanBuilder.toDoms(Array(f))
+      assert(accepted.toSeq == (if (d.isEmpty) Seq.empty else Seq(f)))
+      d
+    }
+    assert(doms(sources.GreaterThan("k", 5L)) == Map("k" -> range(5, inf, loIncl = false)))
+    assert(doms(sources.LessThan("k", 9L)) == Map("k" -> range(-inf, 9, hiIncl = false)))
+    assert(doms(sources.GreaterThan("k", big)) == Map("k" -> range(big.toDouble, inf)))
+    // a double rounds 2^53 + 1 to 2^53: probing the Bloom index with it
+    // could skip the group that holds the row, so no key at 2^53 is pushed
+    assert(doms(sources.EqualTo("k", big)).isEmpty)
+    assert(doms(sources.In("k", Array[Any](1L, big))).isEmpty)
+
+    val f = new File(Files.createTempDirectory("elev").toFile, "big.orclite")
+    OrcLite.write(f, schema, Iterator(Row(big, 1.0, "b")), rowGroupSize = 1000)
+    val batches = freshElevator().scan(f, Seq("k"), doms(sources.EqualTo("k", big))).toSeq
+    assert(batches.flatMap(b => (0 until b.numRows).map(b.columns(0).getLong)) == Seq(big))
   }
 
   test("equality sarg reads exactly one row group") {
     val e = freshElevator()
-    val total = e.scan(makeFile(), Seq("k"), Seq(SargEquals("k", 4242))).map(_.numRows).sum
+    val total = e.scan(makeFile(), Seq("k"), Map("k" -> in(4242))).map(_.numRows).sum
     assert(total == 1000)
     assert(e.metrics.rowGroupsRead.get == 1 && e.metrics.rowGroupsSkipped.get == 9)
   }
 
   test("In sarg prunes via min/max plus stored Bloom index") {
     val e = freshElevator()
-    val total = e.scan(makeFile(), Seq("k"), Seq(SargIn("k", Set(100L, 9900L)))).map(_.numRows).sum
+    val total = e.scan(makeFile(), Seq("k"), Map("k" -> in(100, 9900))).map(_.numRows).sum
     assert(total == 2000)
     assert(e.metrics.rowGroupsSkipped.get == 8)
   }
 
-  test("semijoin Bloom sarg prunes groups by range and filters rows") {
+  test("the Bloom index alone refutes absent keys inside a group's min/max") {
+    // one group of the even keys 2..1000: every odd probe lies inside its
+    // [min, max], so only the Bloom index can tell the key is absent
+    val f = new File(Files.createTempDirectory("elev").toFile, "even.orclite")
+    OrcLite.write(f, schema,
+      (1 to 500).iterator.map(i => Row(i * 2L, i.toDouble, "e")), rowGroupSize = 500)
     val e = freshElevator()
-    val keys = Set(1500L, 1501L, 1502L)
-    val sarg = SargBloom("k", keys.min.toDouble, keys.max.toDouble, BloomFilter.of(keys))
-    val batches = e.scan(makeFile(), Seq("k", "v"), Seq(sarg)).toSeq
-    val rows = batches.map(_.numRows).sum
-    assert(e.metrics.rowGroupsRead.get == 1, "range part of the reducer should prune groups")
-    assert(rows >= 3 && rows <= 10, s"bloom row filter kept $rows rows (3 true + few fps)")
-    val ks = batches.flatMap(b => (0 until b.numRows).map(b.columns(0).getLong))
-    assert(keys.forall(ks.contains), "bloom filtering must never drop true matches")
+    val skipped = (3 to 201 by 2).count { odd =>
+      e.metrics.reset()
+      e.scan(f, Seq("k"), Map("k" -> in(odd))).foreach(_ => ())
+      e.metrics.rowGroupsRead.get == 0
+    }
+    assert(skipped >= 90, s"the Bloom index refuted only $skipped of 100 absent keys")
   }
 
   test("second scan is served from the chunk cache") {
@@ -110,7 +129,7 @@ class IoElevatorSpec extends AnyFunSuite {
 
   test("string columns cannot prune (no stats) but still read correctly") {
     val e = freshElevator()
-    val total = e.scan(makeFile(), Seq("s"), Seq(SargEquals("k", 1))).map(_.numRows).sum
+    val total = e.scan(makeFile(), Seq("s"), Map("k" -> in(1))).map(_.numRows).sum
     assert(total == 1000) // sarg on k still applies even when s is projected
   }
 

@@ -159,6 +159,20 @@ class TxnStoreSpec extends AnyFunSuite {
     // after the compactor physically removed the aborted rows, the write id
     // no longer needs to be carried in snapshots
     assert(s.writeIdList("t", s.txnList()).invalid.isEmpty)
+    assert(!s.txnList().openOrAborted.contains(t1), "no write references t1 any more")
+
+    // an aborted txn that wrote two tables stays in every TxnList until both
+    // tables have forgotten its writes
+    val t2 = s.openTxn()
+    val wa = s.allocateWriteId(t2, "a"); val wb = s.allocateWriteId(t2, "b")
+    s.abort(t2)
+    s.forgetAbortedWrites("a", wa)
+    assert(s.writeIdList("a", s.txnList()).invalid.isEmpty)
+    assert(s.txnList().openOrAborted.contains(t2), "table b still holds an aborted write of t2")
+    assert(!s.writeIdList("b", s.txnList()).isVisible(wb))
+    s.forgetAbortedWrites("b", wb)
+    assert(!s.txnList().openOrAborted.contains(t2))
+    assert(s.writeIdList("b", s.txnList()).invalid.isEmpty)
   }
 
   test("operations on closed txns are rejected") {
