@@ -33,20 +33,16 @@ final class IoElevator(val cache: ChunkCache, val metaCache: MetaCache) {
       columns: Seq[String],
       doms: Map[String, NumDom] = Map.empty,
       useCache: Boolean = true): Iterator[RowBatch] = {
-    val meta = if (useCache) metaCache.get(file) else OrcLite.readMeta(file)
+    val meta = readMeta(file, useCache)
     val colIdx = columns.map { c =>
       val i = meta.schema.fieldIndex(c)
       require(i >= 0, s"no such column $c in ${file.getName}")
       i
     }
-    // (column index, domain, its effective IN-set), resolved once per scan
-    val probes = doms.toSeq.flatMap { case (c, d) =>
-      val i = meta.schema.fieldNames.indexOf(c)
-      if (i >= 0) Some((i, d, d.effectiveSet)) else None
-    }
+    val survives = IoElevator.groupSurvives(meta, doms)
 
     (0 until meta.rowGroups).iterator.flatMap { rg =>
-      if (!groupSurvives(meta.index(rg), probes)) {
+      if (!survives(rg)) {
         metrics.rowGroupsSkipped.incrementAndGet()
         None
       } else {
@@ -56,6 +52,11 @@ final class IoElevator(val cache: ChunkCache, val metaCache: MetaCache) {
       }
     }
   }
+
+  /** The footer of `file`: from the metadata cache, or straight from disk
+    * when `useCache=false` (container mode), which leaves the cache cold. */
+  def readMeta(file: File, useCache: Boolean): OrcLiteMeta =
+    if (useCache) metaCache.get(file) else OrcLite.readMeta(file)
 
   private def fetchChunk(meta: OrcLiteMeta, rg: Int, column: Int, useCache: Boolean): ColumnVec =
     if (!useCache) OrcLite.readChunk(meta, rg, column)
@@ -67,14 +68,23 @@ final class IoElevator(val cache: ChunkCache, val metaCache: MetaCache) {
         vec
       }
     }
+}
 
-  /** A row group survives when every domain admits a value in its
-    * [min, max]; an IN-set value must also pass the stored Bloom index. */
-  private def groupSurvives(
-      index: Array[ChunkIndex],
-      probes: Seq[(Int, NumDom, Option[Set[Double]])]): Boolean =
-    probes.forall { case (ci, dom, set) =>
-      val idx = index(ci)
+object IoElevator {
+
+  /** The row-group filter of `meta` under `doms`, shared by the scan and
+    * by the statistics the DSv2 scan reports, so both prune alike. A row
+    * group survives when every domain admits a value in its [min, max]; an
+    * IN-set value must also pass the stored Bloom index. Columns the file
+    * lacks are not probed. */
+  private[llap] def groupSurvives(meta: OrcLiteMeta, doms: Map[String, NumDom]): Int => Boolean = {
+    // (column index, domain, its effective IN-set), resolved once per file
+    val probes = doms.toSeq.flatMap { case (c, d) =>
+      val i = meta.schema.fieldNames.indexOf(c)
+      if (i >= 0) Some((i, d, d.effectiveSet)) else None
+    }
+    rg => probes.forall { case (ci, dom, set) =>
+      val idx = meta.index(rg)(ci)
       (idx.min, idx.max) match {
         case (Some(mn), Some(mx)) =>
           set match {
@@ -85,6 +95,7 @@ final class IoElevator(val cache: ChunkCache, val metaCache: MetaCache) {
         case _ => true // no stats (e.g. all-null or string column): cannot prune
       }
     }
+  }
 }
 
 /** Process-wide LLAP state shared by all scans in this "daemon" (the test

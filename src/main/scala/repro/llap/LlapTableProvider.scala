@@ -1,7 +1,7 @@
 package repro.llap
 
 import java.io.File
-import java.util.{Map => JMap}
+import java.util.{OptionalLong, Map => JMap}
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
@@ -30,6 +30,14 @@ import repro.core.{Dom, InPred, NumDom, Pred, RangePred}
   * one core [[NumDom]] per column, which skips row groups via min/max and
   * Bloom indexes. All filters are also left for Spark to re-evaluate, so
   * pruning is purely an I/O optimization and never affects results.
+  *
+  * Each scan reports statistics to Spark's planner (§4.1) through
+  * `SupportsReportStatistics`: the rows of the row groups that survive the
+  * pushed domains, and the encoded bytes of the required columns in them,
+  * both read from the OrcLite footers. Spark sizes joins by them, so a
+  * small dimension is broadcast instead of shuffled with the fact table.
+  * Both modes report the same figures; container mode reads the footers
+  * from disk and leaves the caches cold.
   */
 final class LlapTableProvider extends TableProvider with DataSourceRegister {
 
@@ -130,13 +138,36 @@ private object LlapScanBuilder {
 
 private final case class LlapInputPartition(file: String) extends InputPartition
 
+private final case class LlapStatistics(rows: Long, bytes: Long) extends Statistics {
+  override def numRows(): OptionalLong = OptionalLong.of(rows)
+  override def sizeInBytes(): OptionalLong = OptionalLong.of(bytes)
+}
+
 private final class LlapScan(path: String, required: StructType, doms: Map[String, NumDom], llap: Boolean)
-    extends Scan with Batch {
+    extends Scan with Batch with SupportsReportStatistics {
+  private lazy val files = LlapTableProvider.listFiles(new File(path))
+
+  /** Rows and encoded chunk bytes of the `required` columns in the row
+    * groups that survive `doms`, from the footers the elevator reads (the
+    * metadata cache in LLAP mode, the disk in container mode) and pruned
+    * by the elevator's own test. Computed once: Spark asks several times
+    * per plan. */
+  private lazy val stats: LlapStatistics = {
+    val groups = for {
+      f <- files
+      meta = LlapIo.elevator.readMeta(f, llap)
+      cols = required.fieldNames.toSeq.map(meta.schema.fieldIndex)
+      survives = IoElevator.groupSurvives(meta, doms)
+      rg <- 0 until meta.rowGroups if survives(rg)
+    } yield (meta.rowsInGroup(rg).toLong, cols.map(meta.index(rg)(_).length.toLong).sum)
+    LlapStatistics(groups.map(_._1).sum, groups.map(_._2).sum)
+  }
+
+  override def estimateStatistics(): Statistics = stats
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
   override def planInputPartitions(): Array[InputPartition] =
-    LlapTableProvider.listFiles(new File(path))
-      .map(f => LlapInputPartition(f.toString): InputPartition).toArray
+    files.map(f => LlapInputPartition(f.toString): InputPartition).toArray
   override def createReaderFactory(): PartitionReaderFactory =
     new LlapReaderFactory(required, doms, llap)
   override def description(): String =

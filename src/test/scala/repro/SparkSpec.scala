@@ -10,7 +10,11 @@ import org.scalatest.funsuite.AnyFunSuite
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
   * limit). Broadcast joins are disabled so shuffle/join papers actually
   * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * paper's contribution is the broadcast side. With this setting the
+  * statistics OrcLite scans report (`LlapTableProvider`) change no join
+  * strategy here; a test that needs them sets the threshold in a
+  * `spark.newSession()` of its own. The benchmark in perfbench/ runs with
+  * Spark's default threshold (10 MB), so its dimension joins are broadcast.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
