@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Prints the line count of the main code of each repro.* package
-# (src/main/scala/repro/<package>, subpackages included), then their sum.
+# (src/main/scala/repro/<package>, subpackages included), then the `repro`
+# row for the top-level files src/main/scala/repro/*.scala, then their sum.
 # Lines are counted as `wc -l` counts them: comments and blank lines too.
 #
-#   bin/loc.sh                      # every package
+#   bin/loc.sh                      # every package and the top-level files
 #   bin/loc.sh core federation      # only these packages
 set -eu
 cd "$(dirname "$0")/../src/main/scala/repro"
@@ -14,4 +15,9 @@ for p in $pkgs; do
   printf 'repro.%-12s %6d\n' "$p" "$n"
   total=$((total + n))
 done
+if [ $# -eq 0 ]; then
+  n=$(cat ./*.scala | wc -l)
+  printf '%-18s %6d\n' repro "$n"
+  total=$((total + n))
+fi
 printf '%-18s %6d\n' total "$total"

@@ -29,11 +29,12 @@ final case class TableDesc(
   * The real HMS persists tables, partitions, statistics, transaction state
   * and resource plans in an RDBMS behind a Thrift API. Here the same state
   * lives in thread-safe maps with the same operations; the transaction
-  * tables are in [[TxnStore]].
+  * tables are in [[TxnStore]]. Statistics are not mirrored: the planner
+  * reads row counts and sizes from the OrcLite footers through the scan
+  * (§4.1), see `repro.llap.LlapScan`.
   */
 final class Catalog {
   private val tables = new TrieMap[String, TableDesc]
-  private val stats = new TrieMap[String, TableStats]
   private val partitions = new TrieMap[String, Set[String]] // table -> partition values
   private val resourcePlans = new TrieMap[String, ResourcePlanDef]
   @volatile private var activePlan: Option[String] = None
@@ -47,7 +48,7 @@ final class Catalog {
   }
 
   def dropTable(name: String): Unit = {
-    tables.remove(name); stats.remove(name); partitions.remove(name)
+    tables.remove(name); partitions.remove(name)
   }
 
   def table(name: String): TableDesc =
@@ -62,18 +63,6 @@ final class Catalog {
     partitions.updateWith(table) { prev => Some(prev.getOrElse(Set.empty) ++ values) }
 
   def listPartitions(table: String): Set[String] = partitions.getOrElse(table, Set.empty)
-
-  /** Additive statistics update: merges onto existing stats (§4.1). */
-  def mergeStats(table: String, delta: TableStats): Unit =
-    stats.updateWith(table) {
-      case Some(prev) => Some(prev.merge(delta))
-      case None       => Some(delta)
-    }
-
-  /** Replaces statistics wholesale (e.g. after a major compaction recount). */
-  def putStats(table: String, s: TableStats): Unit = stats.put(table, s)
-
-  def statsOf(table: String): Option[TableStats] = stats.get(table)
 
   // ---- resource plans (§5.2): persisted by Hive in HMS ----
 

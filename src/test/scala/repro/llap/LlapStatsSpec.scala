@@ -6,7 +6,7 @@ import java.nio.file.Files
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.connector.read.SupportsReportStatistics
 import org.apache.spark.sql.execution.SparkPlan
-import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, AdaptiveSparkPlanHelper}
 import org.apache.spark.sql.execution.datasources.v2.DataSourceV2ScanRelation
 import org.apache.spark.sql.execution.joins.{BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
@@ -17,7 +17,7 @@ import repro.SparkSpec
 import repro.tpcds.{TpcDsLite, TpcDsQueries}
 
 /** The statistics an OrcLite scan reports to Spark, and the plans they buy. */
-class LlapStatsSpec extends SparkSpec {
+class LlapStatsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private val schema = StructType(Seq(
     StructField("k", LongType), StructField("v", DoubleType), StructField("s", StringType)))
@@ -97,13 +97,6 @@ class LlapStatsSpec extends SparkSpec {
       LlapTables.read(s, d).createOrReplaceTempView(name)
     }
     val q03 = TpcDsQueries.all.find(_.id == "q03").get.sql
-    def initialPlan(df: DataFrame): SparkPlan = df.queryExecution.executedPlan match {
-      case a: AdaptiveSparkPlanExec => a.initialPlan
-      case p => p
-    }
-    def canon(rows: Array[Row]): Seq[String] =
-      rows.toSeq.map(_.toSeq.map { case d: Double => f"$d%.6e"; case x => String.valueOf(x) }.mkString("|")).sorted
-
     val broadcast = s.sql(q03)
     val plan = initialPlan(broadcast)
     assert(plan.collect { case j: BroadcastHashJoinExec => j }.nonEmpty, plan.treeString)
@@ -116,4 +109,39 @@ class LlapStatsSpec extends SparkSpec {
     assert(answer.nonEmpty && canon(answer) == canon(shuffled.collect()))
     assert(spark.conf.get(threshold) == "-1", "the shared session's settings changed")
   }
+
+  test("a misestimated join over OrcLite views is re-planned at runtime (AQE, §4.2)") {
+    val s = spark.newSession()
+    val fact = Files.createTempDirectory("aqe_fact").toFile
+    val dim = Files.createTempDirectory("aqe_dim").toFile
+    LlapTables.writeTable(s.range(40000).select((col("id") % 20000).as("k"), (col("id") * 0.5).as("v")), fact, 2)
+    // 200 of the 20 000 dimension rows are "hot", spread over the shuffle partitions
+    LlapTables.writeTable(s.range(20000).select(col("id").as("k"),
+      when(col("id") % 100 === 0, "hot").otherwise(concat(lit("cold"), col("id") % 97)).as("s")), dim, 2)
+    LlapTables.read(s, fact).createOrReplaceTempView("fact")
+    LlapTables.read(s, dim).createOrReplaceTempView("dim")
+    // a string equality is not pushed, so the footers estimate the whole dimension
+    val query = "SELECT f.k, f.v, d.s FROM fact f JOIN dim d ON f.k = d.k WHERE d.s = 'hot'"
+    val estimate = reported(s.table("dim").filter(col("s") === "hot"))._2
+    s.conf.set(SQLConf.AUTO_BROADCASTJOIN_THRESHOLD.key, estimate / 2)
+
+    val adaptive = s.sql(query)
+    val answer = adaptive.collect()
+    val plan = adaptive.queryExecution.executedPlan.asInstanceOf[AdaptiveSparkPlanExec]
+    assert(plan.initialPlan.collect { case j: SortMergeJoinExec => j }.nonEmpty, plan.initialPlan.treeString)
+    assert(collect(plan) { case j: BroadcastHashJoinExec => j }.nonEmpty, plan.treeString)
+
+    s.conf.set(SQLConf.ADAPTIVE_EXECUTION_ENABLED.key, "false")
+    val fixed = s.sql(query)
+    assert(fixed.queryExecution.executedPlan.collect { case j: SortMergeJoinExec => j }.nonEmpty)
+    assert(answer.length == 400 && canon(answer) == canon(fixed.collect()))
+  }
+
+  private def initialPlan(df: DataFrame): SparkPlan = df.queryExecution.executedPlan match {
+    case a: AdaptiveSparkPlanExec => a.initialPlan
+    case p => p
+  }
+
+  private def canon(rows: Array[Row]): Seq[String] =
+    rows.toSeq.map(_.toSeq.map { case d: Double => f"$d%.6e"; case x => String.valueOf(x) }.mkString("|")).sorted
 }

@@ -39,26 +39,6 @@ class CatalogSpec extends AnyFunSuite {
     assert(c.listPartitions("a") == Set("1", "2", "3"))
   }
 
-  test("mergeStats is additive") {
-    val c = new Catalog
-    c.createTable(desc("a"))
-    val s1 = TableStats(10, Map("k" -> colStats(10, 1, 5)))
-    val s2 = TableStats(20, Map("k" -> colStats(20, 3, 9)))
-    c.mergeStats("a", s1)
-    c.mergeStats("a", s2)
-    val merged = c.statsOf("a").get
-    assert(merged.rowCount == 30)
-    assert(merged.columns("k").min.contains(1.0) && merged.columns("k").max.contains(9.0))
-  }
-
-  test("putStats replaces wholesale") {
-    val c = new Catalog
-    c.createTable(desc("a"))
-    c.mergeStats("a", TableStats(10, Map.empty))
-    c.putStats("a", TableStats(5, Map.empty))
-    assert(c.statsOf("a").get.rowCount == 5)
-  }
-
   test("resource plans: create, activate, only one active") {
     val c = new Catalog
     val plan = ResourcePlanDef("daytime",
@@ -71,10 +51,6 @@ class CatalogSpec extends AnyFunSuite {
     assert(c.activeResourcePlan.map(_.name).contains("daytime"))
     assertThrows[IllegalArgumentException](c.activateResourcePlan("nighttime"))
   }
-
-  private def colStats(n: Long, mn: Double, mx: Double) =
-    ColumnStats(n, 0, Some(mn), Some(mx), None, None,
-      repro.util.HyperLogLog.of((mn.toLong to mx.toLong)))
 }
 
 class ResourcePlanDefSpec extends AnyFunSuite {
