@@ -142,19 +142,15 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   /** Snapshot of this table for the current transaction state. */
   def currentSnapshot(): WriteIdList = store.writeIdList(name, store.txnList())
 
-  /** Reads the table under snapshot `snap`.
+  /** Reads the table under snapshot `snap`. A filter on the partition
+    * column, static or a join's dynamic pruning filter, reaches the scan's
+    * `col=value` directories, so Spark skips the partitions it excludes.
     *
-    * @param partitionFilter when set, partition directories whose value does
-    *        not satisfy the predicate are skipped entirely (directory-level
-    *        pruning; the hook used by dynamic partition pruning in §4.6)
-    * @param includeRowIds   keep the ACID row-id columns in the output
+    * @param includeRowIds keep the ACID row-id columns in the output
     */
-  def read(
-      snap: WriteIdList,
-      partitionFilter: Option[String => Boolean] = None,
-      includeRowIds: Boolean = false)(implicit spark: SparkSession): DataFrame = {
+  def read(snap: WriteIdList, includeRowIds: Boolean = false)(implicit spark: SparkSession): DataFrame = {
     val cols = userColumns ++ (if (includeRowIds) RowIdCols else Seq.empty)
-    snapshotScan(snap, storeDirs(partitionFilter).flatMap(visibleDirs(_, snap))).select(cols.map(col): _*)
+    snapshotScan(snap, storeDirs().flatMap(visibleDirs(_, snap))).select(cols.map(col): _*)
   }
 
   /** Convenience: read under a freshly acquired snapshot. */
@@ -180,12 +176,9 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   def partitionDirCount: Int = listPartitionDirs(root).size
 
   /** Store directories: the table root for unpartitioned tables, otherwise
-    * the partition directories whose value `partitionFilter` keeps. */
-  private[acid] def storeDirs(partitionFilter: Option[String => Boolean] = None): Seq[File] =
-    partitionCol match {
-      case None    => Seq(root)
-      case Some(_) => listPartitionDirs(root).filter(d => partitionFilter.forall(p => p(partitionValueOf(d))))
-    }
+    * the partition directories. */
+  private[acid] def storeDirs(): Seq[File] =
+    if (partitionCol.isEmpty) Seq(root) else listPartitionDirs(root)
 
   /** Store directory count across the table — drives compaction thresholds. */
   def storeDirCount: Int = storeDirs().map(d => AcidLayout.list(d).size).sum

@@ -3,9 +3,11 @@ package repro.llap
 import java.io.File
 import java.util.{OptionalLong, Map => JMap}
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
-import org.apache.spark.sql.connector.expressions.Transform
+import org.apache.spark.sql.connector.expressions.{Expressions, NamedReference, Transform}
 import org.apache.spark.sql.connector.read._
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
@@ -38,6 +40,16 @@ import repro.core.{Dom, InPred, NumDom, Pred, RangePred}
   * small dimension is broadcast instead of shuffled with the fact table.
   * Both modes report the same figures; container mode reads the footers
   * from disk and leaves the caches cold.
+  *
+  * Each scan also accepts Spark's runtime filters (§4.6's semijoin
+  * reduction) through `SupportsRuntimeFiltering`. When a join's other side
+  * is filtered and broadcast, Spark's dynamic pruning hands the scan that
+  * side's join keys as an IN filter; the scan folds it into its domains,
+  * so the elevator skips the row groups no key can reach and files with no
+  * surviving row group are not read at all. The scan offers only the
+  * numeric columns on which two row groups have disjoint [min, max]
+  * ranges: on data not clustered by a column, no row group could be
+  * skipped by range, so Spark plans no runtime filter for it.
   */
 final class LlapTableProvider extends TableProvider with DataSourceRegister {
 
@@ -136,49 +148,84 @@ private object LlapScanBuilder {
   }
 }
 
-private final case class LlapInputPartition(file: String) extends InputPartition
+/** One file to read, with the domains its reader prunes by: Spark builds
+  * the reader factory at planning time, before runtime filters arrive. */
+private final case class LlapInputPartition(file: String, doms: Map[String, NumDom]) extends InputPartition
 
 private final case class LlapStatistics(rows: Long, bytes: Long) extends Statistics {
   override def numRows(): OptionalLong = OptionalLong.of(rows)
   override def sizeInBytes(): OptionalLong = OptionalLong.of(bytes)
 }
 
-private final class LlapScan(path: String, required: StructType, doms: Map[String, NumDom], llap: Boolean)
-    extends Scan with Batch with SupportsReportStatistics {
-  private lazy val files = LlapTableProvider.listFiles(new File(path))
+private final class LlapScan(path: String, required: StructType, pushed: Map[String, NumDom], llap: Boolean)
+    extends Scan with Batch with SupportsReportStatistics with SupportsRuntimeFiltering {
+
+  /** The footers the elevator reads (the metadata cache in LLAP mode, the
+    * disk in container mode), read once: Spark asks for the statistics and
+    * the filter attributes several times per plan. */
+  private lazy val metas: Seq[(File, OrcLiteMeta)] =
+    LlapTableProvider.listFiles(new File(path)).map(f => f -> LlapIo.elevator.readMeta(f, llap))
+
+  /** The pushed domains, narrowed by the runtime filters Spark passes. */
+  private var doms: Map[String, NumDom] = pushed
+  /** Files `planInputPartitions` has left out. */
+  private val leftOut = mutable.Set.empty[File]
 
   /** Rows and encoded chunk bytes of the `required` columns in the row
-    * groups that survive `doms`, from the footers the elevator reads (the
-    * metadata cache in LLAP mode, the disk in container mode) and pruned
-    * by the elevator's own test. Computed once: Spark asks several times
-    * per plan. */
+    * groups that survive the pushed domains, pruned by the elevator's own
+    * test. */
   private lazy val stats: LlapStatistics = {
     val groups = for {
-      f <- files
-      meta = LlapIo.elevator.readMeta(f, llap)
+      (_, meta) <- metas
       cols = required.fieldNames.toSeq.map(meta.schema.fieldIndex)
-      survives = IoElevator.groupSurvives(meta, doms)
+      survives = IoElevator.groupSurvives(meta, pushed)
       rg <- 0 until meta.rowGroups if survives(rg)
     } yield (meta.rowsInGroup(rg).toLong, cols.map(meta.index(rg)(_).length.toLong).sum)
     LlapStatistics(groups.map(_._1).sum, groups.map(_._2).sum)
   }
 
+  /** The required columns on which two row groups have disjoint [min, max]
+    * ranges: a property of how the data is laid out, read from the footers.
+    * Doubles are left out: Spark wraps a floating-point join key in NaN
+    * normalization, and such a runtime filter never reaches the scan. */
+  private lazy val rangeClustered: Array[NamedReference] =
+    required.fields.collect { case f if f.dataType != DoubleType => f.name }.filter { c =>
+      val ranges = for {
+        (_, meta) <- metas
+        idx <- meta.index.toSeq.map(_(meta.schema.fieldIndex(c)))
+        mn <- idx.min
+        mx <- idx.max
+      } yield (mn, mx)
+      ranges.nonEmpty && ranges.map(_._2).min < ranges.map(_._1).max
+    }.map(c => Expressions.column(c): NamedReference)
+
   override def estimateStatistics(): Statistics = stats
+  override def filterAttributes(): Array[NamedReference] = rangeClustered
+  override def filter(filters: Array[sources.Filter]): Unit =
+    doms = LlapScanBuilder.toDoms(filters)._1.foldLeft(doms) { case (m, (c, d)) =>
+      m.updated(c, m.get(c).fold(d)(_.intersect(d)))
+    }
   override def readSchema(): StructType = required
   override def toBatch: Batch = this
-  override def planInputPartitions(): Array[InputPartition] =
-    files.map(f => LlapInputPartition(f.toString): InputPartition).toArray
-  override def createReaderFactory(): PartitionReaderFactory =
-    new LlapReaderFactory(required, doms, llap)
+  /** One partition per file in which some row group survives `doms`. The
+    * elevator never opens a file left out, so its row groups count as
+    * skipped here, once per scan. */
+  override def planInputPartitions(): Array[InputPartition] = {
+    val (kept, left) = metas.partition { case (_, meta) =>
+      (0 until meta.rowGroups).exists(IoElevator.groupSurvives(meta, doms))
+    }
+    for ((f, meta) <- left if leftOut.add(f)) LlapIo.elevator.metrics.rowGroupsSkipped.addAndGet(meta.rowGroups)
+    kept.map { case (f, _) => LlapInputPartition(f.toString, doms): InputPartition }.toArray
+  }
+  override def createReaderFactory(): PartitionReaderFactory = new LlapReaderFactory(required, llap)
   override def description(): String =
     s"OrcLite(path=$path, llap=$llap, doms=${doms.mkString(",")})"
 }
 
-private final class LlapReaderFactory(required: StructType, doms: Map[String, NumDom], llap: Boolean)
-    extends PartitionReaderFactory {
+private final class LlapReaderFactory(required: StructType, llap: Boolean) extends PartitionReaderFactory {
   override def createReader(partition: InputPartition): PartitionReader[InternalRow] = {
-    val file = new File(partition.asInstanceOf[LlapInputPartition].file)
-    new LlapPartitionReader(file, required, doms, llap)
+    val p = partition.asInstanceOf[LlapInputPartition]
+    new LlapPartitionReader(new File(p.file), required, p.doms, llap)
   }
 }
 

@@ -6,10 +6,14 @@ import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.DynamicPruningExpression
+import org.apache.spark.sql.execution.FileSourceScanExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.metastore.{Catalog, TableDesc, TxnConflictException}
 
 /** Shared fixture: a fresh catalog + ACID table in a temp dir per test. */
@@ -263,7 +267,7 @@ class AcidTableSpec extends SparkSpec with AcidFixture {
   }
 }
 
-class AcidPartitionedSpec extends SparkSpec with AcidFixture {
+class AcidPartitionedSpec extends SparkSpec with AcidFixture with AdaptiveSparkPlanHelper {
 
   private val pSchema = StructType(Seq(
     StructField("k", LongType), StructField("v", DoubleType), StructField("p", IntegerType)))
@@ -293,14 +297,60 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture {
       Set((1L, 10), (3L, 20)))
   }
 
-  test("partitionFilter prunes directories (the dynamic pruning hook)") {
+  /** The Parquet scans of `df`'s executed plan, subqueries and adaptive
+    * stages included, once `df` has run. */
+  private def fileScans(df: DataFrame): Seq[FileSourceScanExec] =
+    collectWithSubqueries(df.queryExecution.executedPlan) { case f: FileSourceScanExec => f }
+
+  test("a filter on the partition column reads only that partition's directory") {
     val (c, t) = freshTable("t_prune", Some("p"), pSchema)
     val txn = c.txns.openTxn()
     t.insert(txn, pRows((1L to 30L).map(i => (i, i.toDouble, (i % 3).toInt))))
     c.txns.commit(txn)
-    val only1 = t.read(t.currentSnapshot(), partitionFilter = Some(_ == "1"))
-    assert(only1.select("p").distinct().collect().map(_.getInt(0)).toSeq == Seq(1))
-    assert(only1.count() == 10)
+    t.readCurrent().createOrReplaceTempView("t_prune")
+    val only1 = spark.sql("SELECT k, p FROM t_prune WHERE p = 1")
+    assert(only1.collect().map(r => (r.getLong(0), r.getInt(1))).toSet ==
+      (1L to 30L).filter(_ % 3 == 1).map((_, 1)).toSet)
+    assert(fileScans(only1).map(_.metrics("numPartitions").value) == Seq(1L))
+  }
+
+  test("a join on the partition column prunes directories at runtime, through the delete anti-join") {
+    val (c, t) = freshTable("t_dpp", Some("p"), pSchema)
+    val rows = (1L to 1000L).map(i => (i, i.toDouble, (i % 10).toInt))
+    val t1 = c.txns.openTxn()
+    t.insert(t1, pRows(rows))
+    c.txns.commit(t1)
+    val t2 = c.txns.openTxn()
+    t.delete(t2, col("k") % 7 === 0)
+    c.txns.commit(t2)
+    assert(t.partitionDirCount == 10)
+
+    // Spark's dynamic pruning needs the filtered side broadcast and a
+    // selective filter it can see: a file-backed dimension, not a local one
+    // whose filter the optimizer folds away.
+    val s = spark.newSession()
+    s.conf.set(SQLConf.AUTO_BROADCASTJOIN_THRESHOLD.key, SQLConf.AUTO_BROADCASTJOIN_THRESHOLD.defaultValue.get)
+    val dimDir = Files.createTempDirectory("acid_dpp_dim").toFile
+    s.range(10).select(col("id").cast("int").as("d_p"),
+      when(col("id") < 3, "keep").otherwise("drop").as("d_tag"))
+      .coalesce(1).write.mode("overwrite").parquet(dimDir.getPath)
+    t.read(t.currentSnapshot())(s).createOrReplaceTempView("fact_p")
+    s.read.parquet(dimDir.getPath).createOrReplaceTempView("dim_p")
+    val q = s.sql(
+      """SELECT f.p, COUNT(*) AS n, SUM(f.v) AS sv
+        |FROM fact_p f JOIN dim_p d ON f.p = d.d_p
+        |WHERE d.d_tag = 'keep' GROUP BY f.p""".stripMargin)
+    q.collect()
+
+    val pruned = fileScans(q).filter(_.partitionFilters.exists(_.isInstanceOf[DynamicPruningExpression]))
+    assert(pruned.size == 1, q.queryExecution.executedPlan.treeString)
+    assert(pruned.head.metrics("numPartitions").value == 3)
+    Oracle.assertEquivalent(q,
+      """SELECT p::INT AS p, COUNT(*) AS n, SUM(v::DOUBLE) AS sv
+        |FROM fact, dim
+        |WHERE p::INT = d_p::INT AND d_tag = 'keep' AND k::BIGINT % 7 <> 0
+        |GROUP BY p::INT""".stripMargin,
+      "fact" -> pRows(rows), "dim" -> s.read.parquet(dimDir.getPath))
   }
 
   test("delete in one partition leaves others untouched") {

@@ -149,8 +149,8 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
 
     assert(rowsOf(t.read(snap)) == atSnap, "the snapshot used a base newer than itself")
     assert(rowsOf(t.readCurrent()) == now, "the current snapshot mixed its base with older deltas")
-    assert(rowsOf(t.read(snap, partitionFilter = Some(_ != "1"))) == atSnap.filter(_._3 != 1))
-    val pruned = t.read(t.currentSnapshot(), partitionFilter = Some(_ == "2"))
+    assert(rowsOf(t.read(snap).filter(col("p") =!= 1)) == atSnap.filter(_._3 != 1))
+    val pruned = t.read(t.currentSnapshot()).filter(col("p") === 2)
     assert(pruned.schema("p").dataType == IntegerType)
     assert(rowsOf(pruned) == now.filter(_._3 == 2))
   }
