@@ -9,7 +9,10 @@
 #   BENCH_paper.json      bin/paperbench.sh (Table 1, Figure 7, Figure 8): the
 #                         headline ratios, with and without the modelled
 #                         container delay, and the measured and modelled ms of
-#                         every query, as medians over the runs.
+#                         every query, as medians over the runs; for each run
+#                         that failed, under `failures`, its exit code and each
+#                         `*** FAILED ***` line with its assertion message,
+#                         which are also printed to stderr.
 #
 # Each file is a JSON list with one record per source state. A record names
 # the git sha of HEAD (suffixed "-dirty" when src/, bench/ or jobs/ differ
@@ -147,13 +150,34 @@ def parse_paper(out):
     return res
 
 
+def failures(out):
+    """Each `*** FAILED ***` line of a paperbench log with the assertion
+    message that follows it (the lines indented below it)."""
+    lines, found = out.splitlines(), []
+    for i, line in enumerate(lines):
+        if "*** FAILED ***" in line:
+            msg = [line]
+            for nxt in lines[i + 1:]:
+                if not nxt.startswith("[info]   "):
+                    break
+                msg.append(nxt)
+            found.append("\n".join(msg))
+    return found
+
+
 def paper(ident):
-    runs = []
+    runs, failed = [], []
     for i in range(PAPER_RUNS):
         proc = subprocess.run(["bin/paperbench.sh"], cwd=ROOT, capture_output=True, text=True)
         print(f"paperbench run {i + 1}: exit {proc.returncode}", flush=True)
+        if proc.returncode != 0:
+            why = failures(proc.stdout)
+            print("\n".join(why) or proc.stdout[-2000:], file=sys.stderr, flush=True)
+            failed.append({"run": i + 1, "exit": proc.returncode, "failures": why})
         runs.append(parse_paper(proc.stdout))
     record = dict(ident, sf=SF, runs=PAPER_RUNS)
+    if failed:
+        record["failures"] = failed
     for b in TABLES.values():
         passed = [r[b]["passed"] for r in runs]
         out = {"passed": None if None in passed else all(passed)}

@@ -7,7 +7,8 @@ import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-import repro.metastore.{Catalog, TableDesc, WriteIdList, WriteKind}
+import repro.metastore.{Catalog, RangeVisibility, TableDesc, WriteIdList, WriteKind}
+import RangeVisibility._
 import AcidLayout._
 
 /** An ACID table over the base/delta directory layout (§3.2).
@@ -22,9 +23,14 @@ import AcidLayout._
   * Every read, and both compactions, go through one snapshot scan: for each
   * store directory it picks the base and deltas to read, then reads all of
   * them with a single Parquet scan whose schema comes from the catalog (no
-  * inference), filters visibility with a native column expression that
-  * Parquet can push down, and anti-joins a second such scan over the delete
-  * deltas on the row-id columns.
+  * inference), and anti-joins a second such scan over the delete deltas on
+  * the row-id columns. Visibility is decided per directory, by
+  * [[WriteIdList.rangeVisibility]] over its WriteId range, as Hive's
+  * `AcidUtils.getAcidState` does: a directory the snapshot cannot see at
+  * all is not read, and rows are filtered by WriteId only when a directory
+  * is seen in part (a compacted range holding an id the snapshot cannot
+  * see). In the common case the plan therefore holds no value that depends
+  * on the snapshot, and Spark reuses its generated code across reads.
   *
   * For partitioned tables each partition value owns a sub-directory
   * (`col=value/`) holding its own base/delta stores, which is what makes
@@ -44,6 +50,13 @@ object AcidTable {
   private[acid] def visible(snap: WriteIdList, w: Column): Column = {
     val upToHwm = w <= snap.highWatermark
     if (snap.invalid.isEmpty) upToHwm else upToHwm && !w.isin(snap.invalid.toSeq.sorted: _*)
+  }
+
+  /** How much of directory `d` the snapshot `snap` sees: a base holds the
+    * WriteIds [1, w], a delta or delete delta its [lo, hi]. */
+  private[acid] def visibility(snap: WriteIdList, d: Dir): RangeVisibility.Value = d match {
+    case b: BaseDir  => snap.rangeVisibility(1L, b.writeId)
+    case r: RangeDir => snap.rangeVisibility(r.lo, r.hi)
   }
 }
 
@@ -183,12 +196,14 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   /** Store directory count across the table — drives compaction thresholds. */
   def storeDirCount: Int = storeDirs().map(d => AcidLayout.list(d).size).sum
 
-  /** The directories of one store that `snap` can see: the newest base the
-    * snapshot fully covers, and the deltas and delete deltas above it. */
+  /** The directories of one store that `snap` reads: the newest base it
+    * sees whole, and the deltas and delete deltas above that base. Deltas it
+    * sees nothing of (aborted, open or later writes) are left to the scan,
+    * which does not read them. */
   private def visibleDirs(store: File, snap: WriteIdList): Seq[Dir] = {
     val dirs = AcidLayout.list(store)
     val base = dirs
-      .collect { case b: BaseDir if b.writeId <= snap.highWatermark && !snap.invalid.exists(_ <= b.writeId) => b }
+      .collect { case b: BaseDir if AcidTable.visibility(snap, b) == AllVisible => b }
       .maxByOption(_.writeId)
     val floor = base.fold(0L)(_.writeId)
     base.toSeq ++ dirs.collect { case d: RangeDir if d.hi > floor => d }
@@ -197,7 +212,9 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   /** The single scan behind every read and both compactions: the rows of
     * the base and delta directories in `dirs` that `snap` sees, minus those
     * a visible marker in the delete deltas of `dirs` removes. Columns: data
-    * columns, row-id columns, then the partition column. */
+    * columns, row-id columns, then the partition column. `dirs` may hold
+    * directories `snap` sees in part or not at all (the compactor passes
+    * every directory it folds); [[scan]] decides for each. */
   private[acid] def snapshotScan(snap: WriteIdList, dirs: Seq[Dir])(
       implicit spark: SparkSession): DataFrame = {
     val dataFields = desc.schema.fields.toSeq.filterNot(f => partitionCol.contains(f)) ++
@@ -214,18 +231,24 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       implicit spark: SparkSession): DataFrame =
     scan(snap, dirs, (RowIdCols :+ DeleteWriteIdCol).map(StructField(_, LongType)), DeleteWriteIdCol)
 
-  /** One Parquet scan over `dirs` with a schema the catalog supplies, so no
-    * Spark job infers it. `basePath` is the table root, so Spark derives the
-    * partition column from the `col=value` directories. Spark lists up to
-    * `spark.sql.sources.parallelPartitionDiscovery.threshold` directories
-    * (32 by default) on the driver; more cost one parallel listing job. */
+  /** One Parquet scan over the directories of `dirs` that `snap` sees, with
+    * a schema the catalog supplies, so no Spark job infers it. Directories
+    * it sees nothing of are not listed; rows are filtered on `writeIdCol`
+    * only when some directory is seen in part, so a plan over directories
+    * seen whole holds no snapshot constant. `basePath` is the table root, so
+    * Spark derives the partition column from the `col=value` directories.
+    * Spark lists up to `spark.sql.sources.parallelPartitionDiscovery.threshold`
+    * directories (32 by default) on the driver; more cost one parallel
+    * listing job. */
   private def scan(snap: WriteIdList, dirs: Seq[Dir], fields: Seq[StructField], writeIdCol: String)(
       implicit spark: SparkSession): DataFrame = {
     val schema = StructType(fields ++ partitionCol)
+    val seen = dirs.map(d => d -> AcidTable.visibility(snap, d)).filter(_._2 != NoneVisible)
     val files =
-      if (dirs.isEmpty) spark.createDataFrame(java.util.Collections.emptyList[Row](), schema)
-      else spark.read.schema(schema).option("basePath", root.getPath).parquet(dirs.map(_.path.getPath): _*)
-    files.select(schema.fieldNames.toSeq.map(col): _*).filter(AcidTable.visible(snap, col(writeIdCol)))
+      if (seen.isEmpty) spark.createDataFrame(java.util.Collections.emptyList[Row](), schema)
+      else spark.read.schema(schema).option("basePath", root.getPath).parquet(seen.map(_._1.path.getPath): _*)
+    val rows = files.select(schema.fieldNames.toSeq.map(col): _*)
+    if (seen.exists(_._2 == SomeVisible)) rows.filter(AcidTable.visible(snap, col(writeIdCol))) else rows
   }
 
   // ------------------------------------------------------------- internals

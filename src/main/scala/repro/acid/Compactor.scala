@@ -19,8 +19,10 @@ import AcidLayout._
   *
   * The compaction horizon `hi` is the highest WriteId below the lowest
   * write of any still-open transaction; records of aborted transactions at
-  * or below `hi` are physically dropped and their bookkeeping is purged
-  * from the metastore, shrinking future snapshots and transaction lists.
+  * or below `hi` are physically dropped (the scan does not read a directory
+  * the compaction's snapshot sees nothing of, and filters the rows of one
+  * it sees in part) and their bookkeeping is purged from the metastore,
+  * shrinking future snapshots and transaction lists.
   */
 final class Compactor(table: AcidTable) {
 

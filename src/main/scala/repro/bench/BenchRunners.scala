@@ -4,6 +4,7 @@ import java.io.File
 import java.nio.file.Files
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.internal.SQLConf
 
 import repro.core.{HiveOptimizer, MvCatalog, MvRewriter, SharedWork}
 import repro.federation.druid.{DruidFederation, DruidSim}
@@ -62,9 +63,9 @@ object BenchRunners {
   /** Spark natively reuses identical exchanges/subqueries; the pre-shared-
     * work baseline ("v1.2", and the shared-work OFF measurement) must not
     * silently benefit from it. */
-  private val NoReuse: Seq[(String, String)] = Seq(
-    "spark.sql.exchangeReuseEnabled" -> "false",
-    "spark.sql.execution.reuseSubquery" -> "false")
+  private[bench] val NoReuse: Seq[(String, String)] = Seq(
+    SQLConf.EXCHANGE_REUSE_ENABLED.key -> "false",
+    SQLConf.SUBQUERY_REUSE_ENABLED.key -> "false")
 
   // -------------------------------------------------------------- Table 1
 

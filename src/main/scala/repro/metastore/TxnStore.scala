@@ -15,13 +15,35 @@ final case class TxnList(highWatermark: Long, openOrAborted: Set[Long]) {
 
 /** Per-table projection of a [[TxnList]] onto WriteIds. Readers bind one of
   * these to every scan at compile time and skip records whose WriteId is
-  * above the watermark or belongs to an open/aborted transaction. Keeping a
+  * above the watermark or belongs to an open/aborted transaction: whole
+  * directories by [[rangeVisibility]], rows only in a directory the list
+  * sees in part. Keeping a
   * per-table list (rather than the global TxnList) keeps reader state small
   * when many transactions are open across other tables.
   */
 final case class WriteIdList(table: String, highWatermark: Long, invalid: Set[Long]) {
+  import RangeVisibility._
+
   def isVisible(writeId: Long): Boolean =
     writeId <= highWatermark && !invalid.contains(writeId)
+
+  /** How much of the WriteId range [lo, hi] this snapshot sees, as Hive's
+    * `ValidWriteIdList.isWriteIdRangeValid` answers it per directory:
+    * [[AllVisible]] when every id is at or below the watermark and none is
+    * invalid, [[NoneVisible]] when no id is both, else [[SomeVisible]]. */
+  def rangeVisibility(lo: Long, hi: Long): RangeVisibility.Value = {
+    require(lo <= hi, s"empty WriteId range [$lo, $hi]")
+    val top = math.min(hi, highWatermark)
+    val hidden = invalid.count(w => w >= lo && w <= top)
+    if (lo > top || hidden == top - lo + 1) NoneVisible
+    else if (hi <= highWatermark && hidden == 0) AllVisible
+    else SomeVisible
+  }
+}
+
+/** A snapshot's view of a WriteId range, see [[WriteIdList.rangeVisibility]]. */
+object RangeVisibility extends Enumeration {
+  val AllVisible, SomeVisible, NoneVisible = Value
 }
 
 /** Kinds of write recorded in a transaction's write set; only updates and

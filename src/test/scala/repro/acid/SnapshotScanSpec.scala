@@ -7,24 +7,29 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.metrics.source.CodegenMetrics
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.{IsNotNull, ScalaUDF}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
 import org.apache.spark.sql.execution.{FileSourceScanExec, QueryExecution}
 import org.apache.spark.sql.execution.datasources.LogicalRelation
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.QueryExecutionListener
 
 import repro.SparkSpec
-import repro.metastore.Catalog
+import repro.metastore.{Catalog, WriteIdList}
 import AcidLayout._
 
 /** Pins down the shape and the snapshot semantics of the one ACID scan:
-  * building a read starts no Spark job, visibility is a native expression
-  * Parquet receives as a data filter, and the `IN (invalid)` term, the base
-  * choice and `basePath` partition derivation give the rows each snapshot
-  * should see. */
+  * building a read starts no Spark job; visibility is decided per directory,
+  * so a snapshot that sees its directories whole reads with no WriteId
+  * filter and reuses the generated code of an earlier snapshot's read; a
+  * snapshot that sees a compacted directory in part filters its rows with a
+  * native expression Parquet receives as a data filter; and the
+  * `IN (invalid)` term, the base choice and `basePath` partition derivation
+  * give the rows each snapshot should see, also along a random history. */
 class SnapshotScanSpec extends SparkSpec with AcidFixture {
 
   private val pSchema = StructType(Seq(
@@ -52,6 +57,12 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
 
   private def hasScalaUdf(p: LogicalPlan): Boolean =
     nodes(p).exists(_.expressions.exists(_.exists(_.isInstanceOf[ScalaUDF])))
+
+  /** True when a Parquet scan of `df` filters its rows on `column` by more
+    * than the `IS NOT NULL` a join infers. */
+  private def filtersOn(df: DataFrame, column: String): Boolean =
+    df.queryExecution.sparkPlan.collect { case s: FileSourceScanExec => s }
+      .exists(_.dataFilters.exists(f => !f.isInstanceOf[IsNotNull] && f.references.exists(_.name == column)))
 
   /** The query executions `body` runs, as the listener bus reports them. */
   private def executionsDuring(body: => Unit): Seq[QueryExecution] = {
@@ -92,11 +103,6 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     assert(rowsOf(delta) == expected.filter(_._1 >= 100))
 
     assert(!hasScalaUdf(read.queryExecution.optimizedPlan), "visibility is still a Scala UDF")
-    val scans = read.queryExecution.sparkPlan.collect { case s: FileSourceScanExec => s }
-    def filtersOn(column: String) =
-      scans.exists(_.dataFilters.exists(_.references.exists(_.name == column)))
-    assert(filtersOn(WriteIdCol), s"no WriteId data filter in ${scans.map(_.dataFilters)}")
-    assert(filtersOn(DeleteWriteIdCol), s"no delete WriteId data filter in ${scans.map(_.dataFilters)}")
 
     val comp = new Compactor(t)
     val minor = executionsDuring(assert(comp.minorCompact() >= 8))
@@ -153,6 +159,134 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     val pruned = t.read(t.currentSnapshot()).filter(col("p") === 2)
     assert(pruned.schema("p").dataType == IntegerType)
     assert(rowsOf(pruned) == now.filter(_._3 == 2))
+  }
+
+  test("a read at a later snapshot reuses the earlier read's generated code") {
+    val (c, t) = freshTable("t_codegen", Some("p"), pSchema)
+    val rows = (1L to 6L).map(i => (i, i.toDouble, (i % 2).toInt))
+    commit(c)(t.insert(_, pRows(rows)))
+    commit(c)(t.delete(_, col("k") === 6L))
+    assert(rowsOf(t.readCurrent()) == rows.filter(_._1 != 6L).toSet)
+
+    commit(c)(t.insert(_, pRows(Seq((7L, 7.0, 1)))))
+    val later = t.readCurrent()
+    val compiles = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    assert(rowsOf(later) == rows.filter(_._1 != 6L).toSet + ((7L, 7.0, 1)))
+    assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount == compiles,
+      "the read at a later snapshot compiled new code")
+    assert(!filtersOn(later, WriteIdCol) && !filtersOn(later, DeleteWriteIdCol),
+      s"a snapshot that sees every directory whole filters rows: ${later.queryExecution.sparkPlan}")
+  }
+
+  test("a snapshot that sees a compacted delta in part filters its rows") {
+    val (c, t) = freshTable("t_partly", Some("p"), pSchema)
+    val root = new File(c.table("t_partly").location)
+    val first = (1L to 8L).map(i => (i, i.toDouble, (i % 2).toInt))
+    commit(c)(t.insert(_, pRows(first)))
+    commit(c)(t.delete(_, col("k") === 1L || col("k") === 2L))
+    // An open write that inserts and deletes in both partitions.
+    val open = c.txns.openTxn()
+    t.insert(open, pRows(Seq((10L, 10.0, 0), (11L, 11.0, 1))))
+    t.delete(open, col("k") === 3L || col("k") === 4L)
+    val snap = t.currentSnapshot()
+    val atSnap = first.filter(_._1 > 2L).toSet
+    assert(snap.invalid.nonEmpty && rowsOf(t.read(snap)) == atSnap)
+    c.txns.commit(open)
+    commit(c)(t.insert(_, pRows(Seq((20L, 20.0, 0), (21L, 21.0, 1)))))
+    commit(c)(t.delete(_, col("k") === 5L || col("k") === 6L))
+
+    assert(new Compactor(t).minorCompact() == 12, s"layout: ${storeSubdirs(root)}")
+    for (pd <- AcidLayout.listPartitionDirs(root)) {
+      val ranges = AcidLayout.list(pd).collect { case d: RangeDir => (d.getClass.getSimpleName, d.lo, d.hi) }
+      assert(ranges.toSet == Set(("DeltaDir", 1L, 4L), ("DeleteDeltaDir", 2L, 5L)), s"$pd: $ranges")
+    }
+    val read = t.read(snap)
+    assert(rowsOf(read) == atSnap, "the old snapshot saw rows of the compacted range it cannot see")
+    assert(filtersOn(read, WriteIdCol), s"no WriteId data filter in ${read.queryExecution.sparkPlan}")
+    assert(filtersOn(read, DeleteWriteIdCol), s"no delete WriteId data filter in ${read.queryExecution.sparkPlan}")
+    assert(rowsOf(t.readCurrent()) ==
+      first.filter(_._1 > 6L).toSet ++ Set((10L, 10.0, 0), (11L, 11.0, 1), (20L, 20.0, 0), (21L, 21.0, 1)))
+  }
+
+  test("a seeded random history: every read equals the serial model at its snapshot") {
+    val (c, t) = freshTable("t_history", Some("p"), pSchema)
+    // A few rows per step: a handful of shuffle partitions keeps each join small.
+    implicit val sp: SparkSession = spark.newSession()
+    sp.conf.set(SQLConf.SHUFFLE_PARTITIONS.key, 4L)
+    val rnd = new scala.util.Random(2019)
+    type Model = Map[Long, (Double, Int)]
+    def asRows(m: Model) = m.map { case (k, (v, p)) => (k, v, p) }.toSet
+    var model: Model = Map.empty
+    var nextKey = 0L
+    def fresh(): Seq[(Long, Double, Int)] =
+      (0 to rnd.nextInt(4)).map { _ => nextKey += 1; (nextKey, nextKey.toDouble, rnd.nextInt(3)) }
+    def victims(): Seq[Long] =
+      if (model.isEmpty) Seq(-1L) else Seq.fill(1 + rnd.nextInt(3))(model.keys.toSeq(rnd.nextInt(model.size)))
+    // An insert that stays open across steps, then commits or aborts.
+    var pending: Option[(Long, Seq[(Long, Double, Int)])] = None
+    // Snapshots kept with the rows they must read. The cleaner does not wait
+    // for old readers, so each major compaction ends them.
+    val kept = mutable.ArrayBuffer.empty[(WriteIdList, Model)]
+    val seen = mutable.Map.empty[String, Int].withDefaultValue(0)
+    def check(snap: WriteIdList, expected: Model, what: String): Unit = {
+      val df = t.read(snap)
+      assert(rowsOf(df) == asRows(expected), s"$what read at $snap")
+      if (filtersOn(df, WriteIdCol)) seen("filtered read") += 1
+      seen("read") += 1
+    }
+
+    for (step <- 1 to 200) {
+      val op = rnd.nextInt(20)
+      if (op < 4) {
+        val rows = fresh()
+        commit(c)(t.insert(_, pRows(rows)))
+        model ++= rows.map { case (k, v, p) => k -> (v, p) }
+      } else if (op < 6) {
+        val keys = victims()
+        commit(c)(t.update(_, col("k").isin(keys: _*), Map("v" -> (col("v") + 1))))
+        model = model.map { case (k, (v, p)) => k -> (if (keys.contains(k)) v + 1 else v, p) }
+      } else if (op < 8) {
+        val keys = victims()
+        commit(c)(t.delete(_, col("k").isin(keys: _*)))
+        model --= keys
+      } else if (op < 9) {
+        val txn = c.txns.openTxn()
+        rnd.nextInt(3) match {
+          case 0 => t.insert(txn, pRows(fresh()))
+          case 1 => t.update(txn, col("k").isin(victims(): _*), Map("v" -> lit(-1.0)))
+          case _ => t.delete(txn, col("k").isin(victims(): _*))
+        }
+        c.txns.abort(txn)
+        seen("abort") += 1
+      } else if (op < 11) {
+        pending match {
+          case None =>
+            val txn = c.txns.openTxn()
+            val rows = fresh()
+            t.insert(txn, pRows(rows))
+            pending = Some((txn, rows))
+          case Some((txn, rows)) =>
+            if (rnd.nextBoolean()) {
+              c.txns.commit(txn)
+              model ++= rows.map { case (k, v, p) => k -> (v, p) }
+            } else c.txns.abort(txn)
+            pending = None
+        }
+      } else if (op < 13) {
+        seen("minor") += new Compactor(t).minorCompact().sign
+      } else if (op < 14) {
+        new Compactor(t).majorCompact()
+        kept.clear()
+        seen("major") += 1
+      } else {
+        kept += ((t.currentSnapshot(), model))
+        val (snap, atSnap) = kept(rnd.nextInt(kept.size))
+        check(snap, atSnap, s"step $step")
+      }
+    }
+    check(t.currentSnapshot(), model, "final")
+    for (k <- Seq("read", "filtered read", "abort", "minor", "major"))
+      assert(seen(k) > 0, s"the history never made a $k: $seen")
   }
 
   private def copyTree(from: Path, to: Path): Unit = {

@@ -71,6 +71,46 @@ class TxnStoreSpec extends AnyFunSuite {
     assert(!wl.isVisible(w), "late-committed write leaked into an older snapshot")
   }
 
+  test("rangeVisibility answers ALL, SOME or NONE per WriteId range") {
+    import RangeVisibility._
+    val clean = WriteIdList("t", 5L, Set.empty)
+    assert(clean.rangeVisibility(1, 5) == AllVisible)
+    assert(clean.rangeVisibility(5, 5) == AllVisible, "a range ending at the watermark is seen whole")
+    assert(clean.rangeVisibility(4, 6) == SomeVisible, "a range crossing the watermark")
+    assert(clean.rangeVisibility(6, 6) == NoneVisible, "a write above the watermark")
+    assert(clean.rangeVisibility(6, 9) == NoneVisible)
+
+    val holes = WriteIdList("t", 8L, Set(3L, 4L, 8L))
+    assert(holes.rangeVisibility(1, 2) == AllVisible)
+    assert(holes.rangeVisibility(5, 7) == AllVisible, "invalid ids just outside the range")
+    assert(holes.rangeVisibility(3, 3) == NoneVisible, "an invalid single write")
+    assert(holes.rangeVisibility(3, 4) == NoneVisible, "a range of invalid ids only")
+    assert(holes.rangeVisibility(8, 12) == NoneVisible, "invalid up to the watermark, later above it")
+    assert(holes.rangeVisibility(2, 3) == SomeVisible, "an invalid id at the upper end")
+    assert(holes.rangeVisibility(4, 5) == SomeVisible, "an invalid id at the lower end")
+    assert(holes.rangeVisibility(1, 7) == SomeVisible, "invalid ids inside")
+    assert(holes.rangeVisibility(7, 8) == SomeVisible, "an invalid watermark")
+    assert(holes.rangeVisibility(5, 9) == SomeVisible)
+    assertThrows[IllegalArgumentException](holes.rangeVisibility(3, 2))
+
+    val empty = WriteIdList("t", 0L, Set.empty)
+    assert(empty.rangeVisibility(1, 1) == NoneVisible, "a snapshot before the table's first write")
+  }
+
+  test("rangeVisibility agrees with isVisible on every id of the range") {
+    import RangeVisibility._
+    val rnd = new scala.util.Random(7)
+    for (_ <- 1 to 500) {
+      val hwm = rnd.nextInt(12).toLong
+      val snap = WriteIdList("t", hwm, (1L to hwm).filter(_ => rnd.nextInt(3) == 0).toSet)
+      val lo = 1L + rnd.nextInt(14)
+      val hi = lo + rnd.nextInt(5)
+      val seen = (lo to hi).map(snap.isVisible)
+      val expected = if (seen.forall(identity)) AllVisible else if (seen.exists(identity)) SomeVisible else NoneVisible
+      assert(snap.rangeVisibility(lo, hi) == expected, s"$snap [$lo, $hi]")
+    }
+  }
+
   test("commit makes writes visible to later snapshots") {
     val s = new TxnStore
     val t = s.openTxn(); val w = s.allocateWriteId(t, "t"); s.commit(t)
