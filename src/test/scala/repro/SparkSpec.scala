@@ -15,6 +15,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * strategy here; a test that needs them sets the threshold in a
   * `spark.newSession()` of its own. The benchmark in perfbench/ runs with
   * Spark's default threshold (10 MB), so its dimension joins are broadcast.
+  * Shuffles use 8 partitions, as perfbench does: test tables hold a few
+  * thousand rows, and a case whose assertion needs another count sets it
+  * in a session of its own.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -28,7 +31,7 @@ object SparkSpec {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup

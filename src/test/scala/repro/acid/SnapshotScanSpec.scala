@@ -77,7 +77,7 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     seen.synchronized(seen.toSeq)
   }
 
-  test("scan shape: no job to build a read, native visibility pushed to Parquet, no UDF in compaction") {
+  test("scan shape: no job to build a read, no UDF in reads or compaction") {
     val (c, t) = freshTable("t_shape", Some("p"), pSchema)
     val root = new File(c.table("t_shape").location)
     for (b <- 0 until 4)
