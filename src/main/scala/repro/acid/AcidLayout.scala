@@ -9,16 +9,22 @@ import java.io.File
   *   - `delta_lo_hi/`        inserted records in WriteId range [lo, hi]
   *   - `delete_delta_lo_hi/` delete markers in WriteId range [lo, hi]
   *
-  * Single-transaction writes create `delta_w_w`; wider ranges only appear as
-  * the result of compaction.
+  * Single-transaction writes create `delta_w_w` and `delete_delta_w_w`;
+  * wider ranges only appear as the result of compaction. Every file in
+  * every directory has one schema: the data columns, the row-id columns and
+  * [[DeleteWriteIdCol]]. A delta or base leaves the deleting WriteId null, a
+  * delete delta the data columns; a scan reads only the columns it needs.
   */
 object AcidLayout {
   val WriteIdCol = "_acid_writeId"
   val FileIdCol = "_acid_fileId"
   val RowIdCol = "_acid_rowId"
-  /** WriteId of the *deleting* transaction, present only in delete deltas. */
+  /** WriteId of the *deleting* transaction, null except in delete deltas. */
   val DeleteWriteIdCol = "_acid_deleteWriteId"
   val RowIdCols: Seq[String] = Seq(WriteIdCol, FileIdCol, RowIdCol)
+  /** The directory a written row goes to (`delta_w_w`, `base_w`, ...); it
+    * names a staging directory of the write path and is not stored. */
+  val DirCol = "_acid_dir"
 
   private val BaseRe = raw"base_(\d+)".r
   private val DeltaRe = raw"delta_(\d+)_(\d+)".r

@@ -3,8 +3,10 @@ package repro.acid
 import java.io.File
 import java.nio.file.{Files, StandardCopyOption}
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Observation, Row, SparkSession}
+import org.apache.spark.sql.catalyst.catalog.ExternalCatalogUtils.{unescapePathName, DEFAULT_PARTITION_NAME}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
 
 import repro.metastore.{Catalog, RangeVisibility, TableDesc, WriteIdList, WriteKind}
@@ -14,11 +16,16 @@ import AcidLayout._
 /** An ACID table over the base/delta directory layout (§3.2).
   *
   * Rows are uniquely identified by (WriteId, FileId, RowId); the triple is
-  * stored with every record. INSERT writes a `delta_w_w` directory; DELETE
-  * writes delete markers referencing target row ids into `delete_delta_w_w`;
-  * UPDATE is split into a delete plus an insert under the same WriteId, and
-  * MERGE combines all three. Transaction state lives in the metastore's
-  * [[repro.metastore.TxnStore]], which hands readers a [[WriteIdList]].
+  * stored with every record. Every statement and both compactions write
+  * through one path, [[AcidTable#writeEvents]], with one Spark job: a frame
+  * of *events* in one event schema, each naming its target directory. An
+  * insert event carries a new row into `delta_w_w`; a delete event carries
+  * the row ids of a victim into `delete_delta_w_w`, its data columns null.
+  * INSERT yields insert events; DELETE delete events; UPDATE a delete and an
+  * insert event per victim under one WriteId; MERGE all three, from one
+  * outer join of its source with the target. Transaction state lives in
+  * the metastore's [[repro.metastore.TxnStore]], which hands readers a
+  * [[WriteIdList]].
   *
   * Every read, and both compactions, go through one snapshot scan: for each
   * store directory it picks the base and deltas to read, then reads all of
@@ -38,12 +45,6 @@ import AcidLayout._
   * store the partition column; scans derive it from the directory name.
   */
 object AcidTable {
-  /** Stride between file-id batches; supports up to ~1M Spark partitions
-    * per write, far above anything this repo produces. */
-  val FileBatchStride: Long = 1L << 20
-  private val fileBatch = new java.util.concurrent.atomic.AtomicLong(0L)
-  private[acid] def nextFileBatch(): Long = fileBatch.incrementAndGet()
-
   /** The visibility rule of a [[WriteIdList]] as a native column expression:
     * `w <= hwm AND NOT w IN (invalid)`. Unlike a UDF it reaches the Parquet
     * reader as a pushed filter and compiles with whole-stage codegen. */
@@ -57,6 +58,17 @@ object AcidTable {
   private[acid] def visibility(snap: WriteIdList, d: Dir): RangeVisibility.Value = d match {
     case b: BaseDir  => snap.rangeVisibility(1L, b.writeId)
     case r: RangeDir => snap.rangeVisibility(r.lo, r.hi)
+  }
+
+  /** Tasks to write an input of `bytes` with: Spark's split rule for a file
+    * scan (`FilePartition.maxSplitBytes`), one task per
+    * `min(maxPartitionBytes, max(openCostInBytes, bytes / parallelism))`.
+    * An input below one file's open cost (4 MB by default) is one task; a
+    * larger one keeps the parallelism Spark's own scan of it would have. */
+  private[acid] def writeTasks(bytes: BigInt, conf: SQLConf, parallelism: Int): Int = {
+    val perTask = (bytes / conf.filesMinPartitionNum.fold(parallelism.toLong)(_.toLong))
+      .max(conf.filesOpenCostInBytes).min(conf.filesMaxPartitionBytes)
+    (bytes / perTask + 1).min(Int.MaxValue).toInt
   }
 }
 
@@ -72,13 +84,25 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   /** User-visible columns, partition column included. */
   def userColumns: Seq[String] = desc.schema.fieldNames.toSeq
 
+  /** Data columns (partition column excluded) and the row-id columns. */
+  private def dataFields: Seq[StructField] =
+    desc.schema.fields.toSeq.filterNot(f => partitionCol.contains(f)) ++ RowIdCols.map(StructField(_, LongType))
+
+  /** The one event schema of every write: the columns every ACID file
+    * stores (data, row ids, the deleting WriteId), then the two that name
+    * the directory a row goes to and are not stored, the partition column
+    * and [[DirCol]]. An insert event leaves the deleting WriteId null, a
+    * delete event the data columns. */
+  private def eventSchema: Seq[StructField] =
+    (dataFields :+ StructField(DeleteWriteIdCol, LongType)) ++ partitionCol :+ StructField(DirCol, StringType)
+
   // ---------------------------------------------------------------- writes
 
   /** Inserts `df` (must match the table schema) under transaction `txn`.
     * Returns the WriteId used. */
   def insert(txn: Long, df: DataFrame): Long = {
     val w = store.allocateWriteId(txn, name)
-    writeDelta(txn, w, df, WriteKind.Insert)
+    writeStatement(txn, df.select(insertEvent(w, col(_)): _*), WriteKind.Insert)
     w
   }
 
@@ -86,36 +110,35 @@ final class AcidTable(val catalog: Catalog, val name: String) {
     * marked deleted. */
   def delete(txn: Long, predicate: Column)(implicit spark: SparkSession): Long = {
     val w = store.allocateWriteId(txn, name)
-    val snap = currentSnapshot()
-    val victims = read(snap, includeRowIds = true).filter(predicate)
-    writeDeleteMarkers(txn, w, victims)
+    val victims = read(currentSnapshot(), includeRowIds = true).filter(predicate)
+    writeStatement(txn, victims.select(deleteEvent(w, col(_)): _*), WriteKind.Delete)
   }
 
   /** Updates rows matching `predicate`, applying `set` (column -> new value
-    * expression evaluated over the old row). Split into delete + insert
-    * under one WriteId, exactly as Hive models updates. */
+    * expression evaluated over the old row). Each victim yields a delete
+    * event and an insert event under one WriteId, exactly as Hive models
+    * updates; the victims are scanned once. Returns the number of rows
+    * updated. */
   def update(txn: Long, predicate: Column, set: Map[String, Column])(
       implicit spark: SparkSession): Long = {
     require(set.nonEmpty, "UPDATE with empty SET")
     desc.partitionCol.foreach(pc =>
       require(!set.contains(pc), s"cannot update partition column $pc"))
     val w = store.allocateWriteId(txn, name)
-    val snap = currentSnapshot()
-    val victims = read(snap, includeRowIds = true).filter(predicate).cache()
-    try {
-      val n = writeDeleteMarkers(txn, w, victims)
-      if (n > 0) {
-        val updated = set.foldLeft(victims) { case (d, (c, expr)) => d.withColumn(c, expr) }
-        writeDelta(txn, w, updated.select(userColumns.map(col): _*), WriteKind.Update)
-      }
-      n
-    } finally victims.unpersist()
+    val victims = read(currentSnapshot(), includeRowIds = true).filter(predicate)
+    val events = array(
+      struct(deleteEvent(w, col(_)): _*),
+      struct(insertEvent(w, c => set.getOrElse(c, col(c))): _*))
+    writeStatement(txn, victims.select(explode(events).as("e")).select("e.*"), WriteKind.Update)
   }
 
   /** SQL MERGE: joins `source` on `condition`; matched target rows are
     * updated via `matchedSet` (or deleted when `matchedDelete`), unmatched
     * source rows are inserted when `insertNotMatched`. All actions share a
-    * single WriteId, and a source row may match at most one target row. */
+    * single WriteId, and a source row may match at most one target row.
+    * As in Hive, one outer join of the source with the target yields every
+    * event: a delete and an updated row per matched target, the source row
+    * when unmatched. */
   def merge(
       txn: Long,
       source: DataFrame,
@@ -125,29 +148,21 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       insertNotMatched: Boolean = true)(implicit spark: SparkSession): Unit = {
     require(!(matchedSet.nonEmpty && matchedDelete), "MERGE: update and delete are exclusive")
     val w = store.allocateWriteId(txn, name)
-    val snap = currentSnapshot()
-    val tgt = read(snap, includeRowIds = true).alias("t")
-    val src = source.alias("s").cache()
-    try {
-      val matched = tgt.join(src, condition, "inner").cache()
-      try {
-        if (matchedSet.nonEmpty || matchedDelete) {
-          val n = writeDeleteMarkers(txn, w,
-            matched.select((RowIdCols ++ desc.partitionCol.toSeq).map(c => col(s"t.$c")): _*),
-            kind = if (matchedDelete) WriteKind.Delete else WriteKind.Update)
-          if (n > 0 && matchedSet.nonEmpty) {
-            // Qualify target columns explicitly: after the t/s join, bare
-            // column names are ambiguous.
-            val updatedCols = userColumns.map(c => matchedSet.getOrElse(c, col(s"t.$c")).as(c))
-            writeDelta(txn, w, matched.select(updatedCols: _*), WriteKind.Update)
-          }
-        }
-        if (insertNotMatched) {
-          val fresh = src.join(tgt, condition, "left_anti")
-          writeDelta(txn, w, fresh.select(userColumns.map(c => col(s"s.$c").as(c)): _*), WriteKind.Insert)
-        }
-      } finally matched.unpersist()
-    } finally src.unpersist()
+    // Qualify columns explicitly: after the s/t join, bare names are ambiguous.
+    val t = (c: String) => col(s"t.$c")
+    val matched = t(WriteIdCol).isNotNull
+    val events = Seq(
+      (matchedSet.nonEmpty || matchedDelete) -> when(matched, struct(deleteEvent(w, t): _*)),
+      matchedSet.nonEmpty -> when(matched, struct(insertEvent(w, c => matchedSet.getOrElse(c, t(c))): _*)),
+      insertNotMatched -> when(!matched, struct(insertEvent(w, c => col(s"s.$c")): _*)))
+      .collect { case (true, e) => e }
+    if (events.nonEmpty) {
+      val joined = source.alias("s").join(read(currentSnapshot(), includeRowIds = true).alias("t"),
+        condition, if (insertNotMatched) "left_outer" else "inner")
+      writeStatement(txn,
+        joined.select(explode(array(events: _*)).as("e")).where(col("e").isNotNull).select("e.*"),
+        if (matchedDelete) WriteKind.Delete else WriteKind.Update)
+    }
   }
 
   // ---------------------------------------------------------------- reads
@@ -217,8 +232,6 @@ final class AcidTable(val catalog: Catalog, val name: String) {
     * every directory it folds); [[scan]] decides for each. */
   private[acid] def snapshotScan(snap: WriteIdList, dirs: Seq[Dir])(
       implicit spark: SparkSession): DataFrame = {
-    val dataFields = desc.schema.fields.toSeq.filterNot(f => partitionCol.contains(f)) ++
-      RowIdCols.map(StructField(_, LongType))
     val rows = scan(snap, dirs.filterNot(_.isInstanceOf[DeleteDeltaDir]), dataFields, WriteIdCol)
     val deletes = dirs.collect { case d: DeleteDeltaDir => d }
     if (deletes.isEmpty) rows
@@ -255,51 +268,103 @@ final class AcidTable(val catalog: Catalog, val name: String) {
 
   private def partitionValueOf(dir: File): String = dir.getName.split("=", 2)(1)
 
-  /** Conforms a frame to the declared schema (order + types). */
-  private def conform(df: DataFrame): DataFrame =
-    df.select(desc.schema.fields.map(f => col(f.name).cast(f.dataType).as(f.name)).toSeq: _*)
-
-  /** Attaches the (WriteId, FileId, RowId) identity to every row. FileIds
-    * embed a per-write batch number so two writes under the same WriteId
-    * (e.g. MERGE's update-insert plus not-matched-insert) never collide;
-    * RowIds are unique within one write, so numbering needs no shuffle. */
-  private def assignRowIds(df: DataFrame, writeId: Long): DataFrame = {
-    val batch = AcidTable.nextFileBatch()
-    df.withColumn(FileIdCol, (lit(batch * AcidTable.FileBatchStride) +
-        spark_partition_id().cast(LongType)).cast(LongType))
-      .withColumn(RowIdCol, monotonically_increasing_id())
-      .withColumn(WriteIdCol, lit(writeId))
+  /** The columns of one event row of [[eventSchema]]: `values` by column
+    * name, cast to the column's type; every other column is null. */
+  private def event(values: Seq[(String, Column)]): Seq[Column] = {
+    val given = values.toMap
+    eventSchema.map(f => given.getOrElse(f.name, lit(null)).cast(f.dataType).as(f.name))
   }
 
-  /** Writes `rows` (user columns) as `delta_w_w` and records the partitions
-    * touched in the write set of `txn`. */
-  private def writeDelta(txn: Long, w: Long, rows: DataFrame, kind: WriteKind.Value): Unit =
-    writeToStore(assignRowIds(conform(rows), w), _ => deltaName(w, w))
-      .foreach(p => store.recordWriteSet(txn, name, p, kind))
+  /** The event that inserts the row whose user columns `row` gives under
+    * WriteId `w`. Its FileId and RowId stay null: [[writeEvents]] numbers
+    * it. */
+  private def insertEvent(w: Long, row: String => Column): Seq[Column] =
+    event(userColumns.map(c => c -> row(c)) ++ Seq(WriteIdCol -> lit(w), DirCol -> lit(deltaName(w, w))))
 
-  /** Writes `df` into sub-directory `subdir(store)` of each store directory
-    * it touches: the table root, or one directory per partition value, whose
-    * column names the directory and is not stored in the files. When the
-    * target exists already (MERGE writes updates and inserts under one
-    * WriteId) the new files join it. Returns the partition values touched
-    * ("" for unpartitioned). */
-  private[acid] def writeToStore(df: DataFrame, subdir: File => String): Seq[String] =
-    partitionCol match {
-      case None =>
-        df.write.mode("append").parquet(new File(root, subdir(root)).toString)
-        Seq("")
-      case Some(pf) =>
-        val tmp = new File(root, s".tmp_${System.nanoTime()}")
-        df.write.partitionBy(pf.name).parquet(tmp.toString)
-        val moved = listPartitionDirs(tmp).map { pd =>
-          val storeDir = new File(root, pd.getName)
-          moveInto(pd, new File(storeDir, subdir(storeDir)))
-          partitionValueOf(pd)
-        }
-        deleteRecursively(tmp)
-        catalog.addPartitions(name, moved)
-        moved
+  /** The event that deletes, under WriteId `w`, the row whose row-id and
+    * partition columns `row` gives. */
+  private def deleteEvent(w: Long, row: String => Column): Seq[Column] =
+    event((RowIdCols ++ desc.partitionCol).map(c => c -> row(c)) ++
+      Seq(DeleteWriteIdCol -> lit(w), DirCol -> lit(deleteDeltaName(w, w))))
+
+  /** `rows` (columns of [[eventSchema]], such as a snapshot scan's) as
+    * events bound for the directory `dir` names. */
+  private[acid] def asEvents(rows: DataFrame, dir: Column): DataFrame =
+    rows.select(event(rows.columns.toSeq.map(c => c -> col(c)) :+ (DirCol -> dir)): _*)
+
+  /** The column that names each row's directory: `names` gives it per store
+    * directory, which a partitioned table keys by the row's partition value
+    * as its `col=value` directory spells it. */
+  private[acid] def dirFor(names: Map[File, String]): Column = partitionCol match {
+    case None => lit(names(root))
+    case Some(pf) =>
+      val byValue = names.map { case (dir, n) => unescapePathName(partitionValueOf(dir)) -> n }
+      element_at(typedLit(byValue), coalesce(col(pf.name).cast(StringType), lit(DEFAULT_PARTITION_NAME)))
+  }
+
+  /** Writes one statement's events and records its write set: `deletes`
+    * (Update or Delete) for every partition that got a delete delta, Insert
+    * for every one that got a delta. First-commit-wins compares only the
+    * former. Returns the number of delete events, counted by the same job. */
+  private def writeStatement(txn: Long, events: DataFrame, deletes: WriteKind.Value): Long = {
+    val counted = Observation()
+    writeEvents(events.observe(counted, count(col(DeleteWriteIdCol)).as("n"))).foreach {
+      case (p, _: DeleteDeltaDir) => store.recordWriteSet(txn, name, p, deletes)
+      case (p, _)                 => store.recordWriteSet(txn, name, p, WriteKind.Insert)
     }
+    counted.get("n").asInstanceOf[Long]
+  }
+
+  /** The one write path: every ACID file is written here. Writes `events`
+    * (the columns of [[eventSchema]]) with one Spark job into a staging
+    * directory, partitioned by the partition column and [[DirCol]], then
+    * moves each directory it wrote into its store directory: the table
+    * root, or one directory per partition value. Insert events, whose FileId
+    * and RowId are null, are numbered (`spark_partition_id()`,
+    * `monotonically_increasing_id()`) without a shuffle, so they are
+    * unique across the table only if a WriteId's delta is written once. The
+    * job's tasks follow [[AcidTable.writeTasks]] over the bytes the plan
+    * reads (its leaves' size estimates summed; a join's own estimate is the
+    * product of its sides'), coalesced without a shuffle. A delete delta may
+    * exist already (a transaction's second deleting statement on the table,
+    * whose events name existing rows); any other target must not exist in
+    * any store directory of the table, or the write fails before anything
+    * moves. Returns each (partition value, "" when unpartitioned; directory)
+    * written. */
+  private[acid] def writeEvents(events: DataFrame): Seq[(String, Dir)] = {
+    val qe = events.queryExecution
+    val session = qe.sparkSession
+    val tasks = AcidTable.writeTasks(qe.optimizedPlan.collectLeaves().map(_.stats.sizeInBytes).sum,
+      session.sessionState.conf, session.sparkContext.defaultParallelism)
+    val stores = storeDirs()
+    val tmp = new File(root, s".tmp_${System.nanoTime()}")
+    try {
+      events.coalesce(tasks)
+        .withColumn(FileIdCol, coalesce(col(FileIdCol), spark_partition_id().cast(LongType)))
+        .withColumn(RowIdCol, coalesce(col(RowIdCol), monotonically_increasing_id()))
+        .write
+        // no _SUCCESS marker: visibility comes from WriteIds, and the
+        // staging directory is deleted after the move
+        .option("mapreduce.fileoutputcommitter.marksuccessfuljobs", "false")
+        .partitionBy(partitionCol.map(_.name).toSeq :+ DirCol: _*)
+        .parquet(tmp.getPath)
+      val staged = for {
+        stage <- if (partitionCol.isEmpty) Seq(tmp) else listPartitionDirs(tmp)
+        files <- listPartitionDirs(stage)
+      } yield {
+        val storeDir = if (partitionCol.isEmpty) root else new File(root, stage.getName)
+        val target = new File(storeDir, partitionValueOf(files))
+        val dir = AcidLayout.parse(target).getOrElse(throw new IllegalStateException(s"not an ACID directory: $target"))
+        if (!dir.isInstanceOf[DeleteDeltaDir] && stores.exists(new File(_, target.getName).exists()))
+          throw new IllegalStateException(
+            s"${target.getName} exists in table $name: one inserting statement per table and transaction")
+        (if (partitionCol.isEmpty) "" else partitionValueOf(stage), files, dir)
+      }
+      staged.foreach { case (_, files, dir) => moveInto(files, dir.path) }
+      if (partitionCol.nonEmpty) catalog.addPartitions(name, staged.map(_._1).distinct)
+      staged.map { case (p, _, dir) => p -> dir }
+    } finally deleteRecursively(tmp)
+  }
 
   /** Moves directory `src` to `target`, or its files into `target` when
     * that exists. Spark names every part file after its write job, so the
@@ -312,24 +377,4 @@ final class AcidTable(val catalog: Catalog, val name: String) {
       target.getParentFile.mkdirs()
       Files.move(src.toPath, target.toPath, StandardCopyOption.ATOMIC_MOVE)
     }
-
-  /** Writes delete markers for the victim rows; returns the victim count. */
-  private def writeDeleteMarkers(
-      txn: Long,
-      w: Long,
-      victims: DataFrame,
-      kind: WriteKind.Value = WriteKind.Delete): Long = {
-    val keyCols = RowIdCols ++ desc.partitionCol.toSeq
-    val markers = victims
-      .select(keyCols.map(col): _*)
-      .withColumn(DeleteWriteIdCol, lit(w))
-      .cache()
-    try {
-      val n = markers.count()
-      if (n > 0)
-        writeToStore(markers, _ => deleteDeltaName(w, w))
-          .foreach(p => store.recordWriteSet(txn, name, p, kind))
-      n
-    } finally markers.unpersist()
-  }
 }

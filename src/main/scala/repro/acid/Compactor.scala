@@ -3,6 +3,7 @@ package repro.acid
 import java.io.File
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.lit
 
 import AcidLayout._
 
@@ -15,7 +16,8 @@ import AcidLayout._
   * ones are removed in a separate *cleaning* phase, mirroring Hive's
   * split between merging and cleaning. Each compaction reads all the
   * directories it folds, across partitions, through the table's one
-  * snapshot scan, and writes data and row-id columns only.
+  * snapshot scan, and writes them with one Spark job through the table's
+  * one write path, in the one file schema.
   *
   * The compaction horizon `hi` is the highest WriteId below the lowest
   * write of any still-open transaction; records of aborted transactions at
@@ -40,8 +42,9 @@ final class Compactor(table: AcidTable) {
     if (openW.isEmpty) hwm else openW.min - 1
   }
 
-  /** Runs minor compaction on every store directory. Returns the number of
-    * directories merged away (post-cleaning). */
+  /** Runs minor compaction on every store directory: its deltas and its
+    * delete deltas are written together, with one job. Returns the number
+    * of directories merged away (post-cleaning). */
   def minorCompact()(implicit spark: SparkSession): Int = {
     val hi = horizon()
     val snap = table.currentSnapshot()
@@ -51,27 +54,29 @@ final class Compactor(table: AcidTable) {
       val floor = dirs.collect { case b: BaseDir => b.writeId }.maxOption.getOrElse(0L)
       dir -> dirs.collect { case d: RangeDir if d.lo > floor && d.hi <= hi => d }
     }
-    val deltas = merge(stable.map { case (dir, ds) => dir -> ds.collect { case d: DeltaDir => d } },
+    val (deltas, deltaEvents) = merge(stable.map { case (dir, ds) => dir -> ds.collect { case d: DeltaDir => d } },
       deltaName)(table.snapshotScan(snap, _))
-    val deletes = merge(stable.map { case (dir, ds) => dir -> ds.collect { case d: DeleteDeltaDir => d } },
+    val (deletes, deleteEvents) = merge(stable.map { case (dir, ds) => dir -> ds.collect { case d: DeleteDeltaDir => d } },
       deleteDeltaName)(table.markerScan(snap, _))
-    deltas + deletes
+    val events = deltaEvents ++ deleteEvents
+    if (events.nonEmpty) {
+      table.writeEvents(events.reduce(_ union _))
+      (deltas ++ deletes).foreach(d => deleteRecursively(d.path))
+    }
+    deltas.size + deletes.size
   }
 
-  /** Rewrites the directories of every store holding more than one as one
-    * `name(lo, hi)` directory spanning their range, reading them all with
-    * one scan; returns the number of directories merged away. */
+  /** The directories of every store holding more than one, and the events
+    * that rewrite each store's as one `name(lo, hi)` directory spanning
+    * their range, read with one scan. */
   private def merge[D <: RangeDir](
       runs: Seq[(File, Seq[D])],
       name: (Long, Long) => String)(
-      rows: Seq[D] => DataFrame): Int = {
-    val merging = runs.filter(_._2.size > 1).toMap
-    if (merging.nonEmpty) {
-      val names = merging.map { case (dir, ds) => dir -> name(ds.map(_.lo).min, ds.map(_.hi).max) }
-      table.writeToStore(rows(merging.values.flatten.toSeq), names)
-      merging.values.flatten.foreach(d => deleteRecursively(d.path))
-    }
-    merging.values.map(_.size).sum
+      rows: Seq[D] => DataFrame): (Seq[D], Option[DataFrame]) = {
+    val merging = runs.filter(_._2.size > 1)
+    val folded = merging.flatMap(_._2)
+    val names = merging.map { case (dir, ds) => dir -> name(ds.map(_.lo).min, ds.map(_.hi).max) }.toMap
+    folded -> Option.when(folded.nonEmpty)(table.asEvents(rows(folded), table.dirFor(names)))
   }
 
   /** Runs major compaction on every store directory, then purges aborted
@@ -90,7 +95,7 @@ final class Compactor(table: AcidTable) {
       else Seq.empty
     }
     if (folded.nonEmpty) {
-      table.writeToStore(table.snapshotScan(table.currentSnapshot(), folded), _ => baseName(hi))
+      table.writeEvents(table.asEvents(table.snapshotScan(table.currentSnapshot(), folded), lit(baseName(hi))))
       // cleaning phase: drop everything the new bases supersede
       folded.foreach(d => deleteRecursively(d.path))
     }

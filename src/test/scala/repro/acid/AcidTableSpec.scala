@@ -1,17 +1,23 @@
 package repro.acid
 
+import java.io.File
 import java.nio.file.Files
 import java.util.concurrent.atomic.AtomicInteger
+
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerStageSubmitted}
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.DynamicPruningExpression
-import org.apache.spark.sql.execution.FileSourceScanExec
+import org.apache.spark.sql.execution.{FileSourceScanExec, QueryExecution}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.datasources.InsertIntoHadoopFsRelationCommand
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
+import org.apache.spark.sql.util.QueryExecutionListener
 
 import repro.{Oracle, SparkSpec}
 import repro.metastore.{Catalog, TableDesc, TxnConflictException}
@@ -53,6 +59,29 @@ trait AcidFixture { self: SparkSpec =>
     sc.addSparkListener(listener)
     try { body; ListenerBusAccess.drain(sc) } finally sc.removeSparkListener(listener)
     (jobs.get, stages.get)
+  }
+
+  /** The query executions `body` runs, as the listener bus reports them. */
+  def executionsDuring(body: => Unit): Seq[QueryExecution] = {
+    val seen = mutable.ArrayBuffer.empty[QueryExecution]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = seen.synchronized(seen += qe)
+      override def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    ListenerBusAccess.drain(spark.sparkContext)
+    spark.listenerManager.register(listener)
+    try { body; ListenerBusAccess.drain(spark.sparkContext) } finally spark.listenerManager.unregister(listener)
+    seen.synchronized(seen.toSeq)
+  }
+
+  /** File-write commands `body` runs. */
+  def writesDuring(body: => Unit): Int =
+    executionsDuring(body).count(_.analyzed.exists(_.isInstanceOf[InsertIntoHadoopFsRelationCommand]))
+
+  /** Every directory and file under `dir`, as paths relative to it. */
+  def tree(dir: File): Set[String] = {
+    val walk = Files.walk(dir.toPath)
+    try walk.iterator().asScala.map(p => dir.toPath.relativize(p).toString).toSet finally walk.close()
   }
 }
 
@@ -152,6 +181,69 @@ class AcidTableSpec extends SparkSpec with AcidFixture {
     assert(t.update(t2, col("k") === 99L, Map("v" -> lit(0.0))) == 0)
     c.txns.commit(t2)
     assert(collectKv(t.readCurrent()) == Set((1L, 1.0)))
+  }
+
+  test("a statement that matches nothing returns 0 and creates no directory") {
+    val (c, t) = freshTable("t_noop")
+    val t1 = c.txns.openTxn()
+    t.insert(t1, rowsDf(Seq((1L, 1.0, "a"))))
+    c.txns.commit(t1)
+    val root = new File(c.table("t_noop").location)
+    val before = tree(root)
+    val t2 = c.txns.openTxn()
+    assert(t.update(t2, lit(false), Map("v" -> lit(0.0))) == 0)
+    assert(t.delete(t2, lit(false)) == 0)
+    t.merge(t2, rowsDf(Seq.empty), col("t.k") === col("s.k"), matchedSet = Map("v" -> col("s.v")))
+    c.txns.commit(t2)
+    assert(tree(root) == before, "a statement without events left files behind")
+    assert(collectKv(t.readCurrent()) == Set((1L, 1.0)))
+  }
+
+  test("a second inserting statement on one table in one transaction is refused") {
+    val (c, t) = freshTable("t_two_inserts")
+    val t0 = c.txns.openTxn()
+    t.insert(t0, rowsDf(Seq((1L, 1.0, "a"))))
+    c.txns.commit(t0)
+    val txn = c.txns.openTxn()
+    t.insert(txn, rowsDf(Seq((2L, 2.0, "b"))))
+    // its rows would be numbered under the same WriteId as the first's
+    assertThrows[IllegalStateException](t.insert(txn, rowsDf(Seq((3L, 3.0, "c")))))
+    // a delete event names an existing row, so deletes may follow, each
+    // adding its files to the statement's delete delta
+    assert(t.delete(txn, col("k") === 1L) == 1)
+    assert(t.delete(txn, col("k") === 1L) == 1)
+    c.txns.commit(txn)
+    assert(collectKv(t.readCurrent()) == Set((2L, 2.0)))
+  }
+
+  test("a merge writes one file per directory, though Spark sizes its join as the product of its sides") {
+    val (c, t) = freshTable("t_merge_files")
+    val t1 = c.txns.openTxn()
+    t.insert(t1, rowsDf((1L to 10000L).map(i => (i, i.toDouble, "x"))))
+    c.txns.commit(t1)
+    // a broadcast join keeps the partitions of its stream side, four here
+    val s = spark.newSession()
+    s.conf.set(SQLConf.AUTO_BROADCASTJOIN_THRESHOLD.key, SQLConf.AUTO_BROADCASTJOIN_THRESHOLD.defaultValue.get)
+    val src = s.createDataFrame(((1L to 10000L by 10) ++ (20001L to 20500L)).map(k => (k, -k.toDouble, "s")))
+      .toDF("k", "v", "tag").repartition(4)
+    val t2 = c.txns.openTxn()
+    t.merge(t2, src, col("t.k") === col("s.k"), matchedSet = Map("v" -> col("s.v")))(s)
+    c.txns.commit(t2)
+    val files = tree(new File(c.table("t_merge_files").location)).filter(_.endsWith(".parquet"))
+      .groupBy(_.split('/').head).map { case (d, fs) => d -> fs.size }
+    assert(files == Map("delta_1_1" -> 1, "delta_2_2" -> 1, "delete_delta_2_2" -> 1), files)
+    assert(t.readCurrent().count() == 10500)
+  }
+
+  test("a write runs as many tasks as Spark's scan of its input would") {
+    val conf = new SQLConf // 128 MB splits at most, 4 MB open cost
+    val mb = BigInt(1) << 20
+    assert(AcidTable.writeTasks(0, conf, 4) == 1)
+    assert(AcidTable.writeTasks(3 * mb, conf, 4) == 1)
+    // 160 MB over 4 cores: 40 MB per task
+    assert(AcidTable.writeTasks(160 * mb, conf, 4) == 5)
+    // no task takes more than maxPartitionBytes
+    assert(AcidTable.writeTasks(1024 * mb, conf, 4) == 9)
   }
 
   test("merge: matched rows updated, unmatched source rows inserted") {
@@ -390,6 +482,70 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture with AdaptiveSparkP
     assert(collectP(t) == Set((1L, 1.5, 10), (2L, 2.5, 20)))
   }
 
+  private def commit(c: Catalog)(body: Long => Unit): Unit = {
+    val txn = c.txns.openTxn(); body(txn); c.txns.commit(txn)
+  }
+
+  test("each statement and each compaction writes its files with one write command") {
+    val (c, t) = freshTable("t_one_write", Some("p"), pSchema)
+    val comp = new Compactor(t)
+    val on = col("t.k") === col("s.k")
+    val steps: Seq[(String, () => Unit)] = Seq(
+      "insert" -> (() => commit(c)(t.insert(_, pRows((1L to 20L).map(i => (i, i.toDouble, (i % 2).toInt)))))),
+      "update" -> (() => commit(c)(t.update(_, col("k") <= 4L, Map("v" -> lit(0.0))))),
+      "delete" -> (() => commit(c)(t.delete(_, col("k") === 5L || col("k") === 8L))),
+      "merge" -> (() => commit(c)(t.merge(_, pRows(Seq((6L, 60.0, 0), (30L, 30.0, 0))), on,
+        matchedSet = Map("v" -> col("s.v"))))),
+      "minorCompact" -> (() => assert(comp.minorCompact() > 0)),
+      "majorCompact" -> (() => comp.majorCompact()))
+    val writes = steps.map { case (step, body) => step -> writesDuring(body()) }
+    assert(writes.forall(_._2 == 1), s"file-write commands per step: $writes")
+    val expected = (1L to 20L).collect {
+      case k if k != 5L && k != 8L => (k, if (k <= 4L) 0.0 else if (k == 6L) 60.0 else k.toDouble, (k % 2).toInt)
+    }.toSet + ((30L, 30.0, 0))
+    assert(collectP(t) == expected)
+  }
+
+  test("after a mixed history every file of every directory has the one file schema") {
+    val (c, t) = freshTable("t_one_schema", Some("p"), pSchema)
+    val root = new File(c.table("t_one_schema").location)
+    def schemas(): Map[String, StructType] =
+      tree(root).filter(_.endsWith(".parquet")).map(f => f -> spark.read.parquet(new File(root, f).getPath).schema).toMap
+    val fileSchema = StructType(Seq(StructField("k", LongType), StructField("v", DoubleType)) ++
+      (AcidLayout.RowIdCols :+ AcidLayout.DeleteWriteIdCol).map(StructField(_, LongType)))
+    commit(c)(t.insert(_, pRows((1L to 12L).map(i => (i, i.toDouble, (i % 3).toInt)))))
+    commit(c)(t.update(_, col("k") % 4 === 0, Map("v" -> (col("v") + 100))))
+    commit(c)(t.delete(_, col("k") === 1L))
+    commit(c)(t.merge(_, pRows(Seq((2L, 20.0, 2), (40L, 40.0, 1))), col("t.k") === col("s.k"),
+      matchedSet = Map("v" -> col("s.v"))))
+    new Compactor(t).minorCompact()
+    commit(c)(t.insert(_, pRows(Seq((50L, 50.0, 0)))))
+    commit(c)(t.merge(_, pRows(Seq((3L, 0.0, 0))), col("t.k") === col("s.k"),
+      matchedDelete = true, insertNotMatched = false))
+    val mixed = schemas()
+    assert(Seq("/delta_", "/delete_delta_").forall(d => mixed.keys.exists(_.contains(d))), mixed.keys)
+    assert(mixed.values.forall(_ == fileSchema), mixed)
+    new Compactor(t).majorCompact()
+    val bases = schemas()
+    assert(bases.keys.forall(_.contains("/base_")) && bases.values.forall(_ == fileSchema), bases)
+  }
+
+  test("a second inserting statement in one transaction is refused in any partition") {
+    val (c, t) = freshTable("t_part_two_inserts", Some("p"), pSchema)
+    val txn = c.txns.openTxn()
+    t.insert(txn, pRows(Seq((1L, 1.0, 10))))
+    // a row in p=20 would be numbered like the one in p=10, under the same
+    // WriteId, so a delete of either would remove both
+    assertThrows[IllegalStateException](t.insert(txn, pRows(Seq((2L, 2.0, 20)))))
+    assertThrows[IllegalStateException](t.merge(txn, pRows(Seq((3L, 3.0, 20))), col("t.k") === col("s.k")))
+    c.txns.commit(txn)
+    assert(!new File(c.table("t_part_two_inserts").location, "p=20").exists())
+    assert(collectP(t) == Set((1L, 1.0, 10)))
+    commit(c)(t.insert(_, pRows(Seq((2L, 2.0, 20)))))
+    commit(c)(t.delete(_, col("k") === 1L))
+    assert(collectP(t) == Set((2L, 2.0, 20)))
+  }
+
   test("merge that updates and inserts in the same partition") {
     val (c, t) = freshTable("t_part_merge", Some("p"), pSchema)
     val t1 = c.txns.openTxn()
@@ -401,6 +557,10 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture with AdaptiveSparkP
     t.merge(t2, src, col("t.k") === col("s.k"), matchedSet = Map("v" -> col("s.v")))
     c.txns.commit(t2)
     assert(collectP(t) == Set((1L, 10.0, 10), (2L, 2.0, 20), (3L, 30.0, 10)))
+    // the merge wrote one delta and one delete delta there, one file each
+    val p10 = new File(c.table("t_part_merge").location, "p=10")
+    val files = tree(p10).filter(_.endsWith(".parquet")).groupBy(_.split('/').head).map { case (d, fs) => d -> fs.size }
+    assert(files == Map("delta_1_1" -> 1, "delta_2_2" -> 1, "delete_delta_2_2" -> 1), files)
   }
 
   private def collectP(t: AcidTable): Set[(Long, Double, Int)] =

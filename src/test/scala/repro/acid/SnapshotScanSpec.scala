@@ -6,17 +6,15 @@ import java.nio.file.{Files, Path}
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.ListenerBusAccess
 import org.apache.spark.metrics.source.CodegenMetrics
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.expressions.{IsNotNull, ScalaUDF}
 import org.apache.spark.sql.catalyst.plans.logical.LogicalPlan
-import org.apache.spark.sql.execution.{FileSourceScanExec, QueryExecution}
+import org.apache.spark.sql.execution.FileSourceScanExec
 import org.apache.spark.sql.execution.datasources.LogicalRelation
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types._
-import org.apache.spark.sql.util.QueryExecutionListener
 
 import repro.SparkSpec
 import repro.metastore.{Catalog, WriteIdList}
@@ -64,19 +62,6 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     df.queryExecution.sparkPlan.collect { case s: FileSourceScanExec => s }
       .exists(_.dataFilters.exists(f => !f.isInstanceOf[IsNotNull] && f.references.exists(_.name == column)))
 
-  /** The query executions `body` runs, as the listener bus reports them. */
-  private def executionsDuring(body: => Unit): Seq[QueryExecution] = {
-    val seen = mutable.ArrayBuffer.empty[QueryExecution]
-    val listener = new QueryExecutionListener {
-      override def onSuccess(f: String, qe: QueryExecution, ns: Long): Unit = seen.synchronized(seen += qe)
-      override def onFailure(f: String, qe: QueryExecution, e: Exception): Unit = ()
-    }
-    ListenerBusAccess.drain(spark.sparkContext)
-    spark.listenerManager.register(listener)
-    try { body; ListenerBusAccess.drain(spark.sparkContext) } finally spark.listenerManager.unregister(listener)
-    seen.synchronized(seen.toSeq)
-  }
-
   test("scan shape: no job to build a read, no UDF in reads or compaction") {
     val (c, t) = freshTable("t_shape", Some("p"), pSchema)
     val root = new File(c.table("t_shape").location)
@@ -117,7 +102,7 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     assert(bases.size == 2, s"expected one base per partition: $bases")
     for (b <- bases)
       assert(spark.read.parquet(b.path.getPath).schema.fieldNames.toSet ==
-        Set("k", "v") ++ RowIdCols, s"${b.path} stores more than data and row-id columns")
+        Set("k", "v", DeleteWriteIdCol) ++ RowIdCols, s"${b.path} stores other than the one file schema")
   }
 
   test("snapshot edge cases: aborted write, base newer than the snapshot, pruned partition") {
@@ -222,6 +207,28 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
       (0 to rnd.nextInt(4)).map { _ => nextKey += 1; (nextKey, nextKey.toDouble, rnd.nextInt(3)) }
     def victims(): Seq[Long] =
       if (model.isEmpty) Seq(-1L) else Seq.fill(1 + rnd.nextInt(3))(model.keys.toSeq(rnd.nextInt(model.size)))
+    // A MERGE on k of one shape: 0 updates the matched rows and inserts the
+    // others, 1 deletes the matched rows, 2 only inserts the others. Its
+    // source holds some rows of the table and some new ones. Returns the
+    // model after the merge.
+    def merge(txn: Long, shape: Int): Model = {
+      val hits = victims().filter(model.contains).distinct
+      val news = fresh()
+      val src = pRows(hits.map(k => (k, -k.toDouble, model(k)._2)) ++ news)
+      val on = col("t.k") === col("s.k")
+      val inserted = model ++ news.map { case (k, v, p) => k -> (v, p) }
+      shape match {
+        case 0 =>
+          t.merge(txn, src, on, matchedSet = Map("v" -> col("s.v")))
+          inserted ++ hits.map(k => k -> (-k.toDouble, model(k)._2))
+        case 1 =>
+          t.merge(txn, src, on, matchedDelete = true, insertNotMatched = false)
+          model -- hits
+        case _ =>
+          t.merge(txn, src, on)
+          inserted
+      }
+    }
     // An insert that stays open across steps, then commits or aborts.
     var pending: Option[(Long, Seq[(Long, Double, Int)])] = None
     // Snapshots kept with the rows they must read. The cleaner does not wait
@@ -236,7 +243,7 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
     }
 
     for (step <- 1 to 200) {
-      val op = rnd.nextInt(20)
+      val op = rnd.nextInt(24)
       if (op < 4) {
         val rows = fresh()
         commit(c)(t.insert(_, pRows(rows)))
@@ -249,16 +256,21 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
         val keys = victims()
         commit(c)(t.delete(_, col("k").isin(keys: _*)))
         model --= keys
-      } else if (op < 9) {
+      } else if (op < 10) {
+        val shape = rnd.nextInt(3)
+        commit(c)(txn => model = merge(txn, shape))
+        seen(s"merge $shape") += 1
+      } else if (op < 12) {
         val txn = c.txns.openTxn()
-        rnd.nextInt(3) match {
+        rnd.nextInt(6) match {
           case 0 => t.insert(txn, pRows(fresh()))
           case 1 => t.update(txn, col("k").isin(victims(): _*), Map("v" -> lit(-1.0)))
-          case _ => t.delete(txn, col("k").isin(victims(): _*))
+          case 2 => t.delete(txn, col("k").isin(victims(): _*))
+          case shape => merge(txn, shape - 3); seen("aborted merge") += 1
         }
         c.txns.abort(txn)
         seen("abort") += 1
-      } else if (op < 11) {
+      } else if (op < 14) {
         pending match {
           case None =>
             val txn = c.txns.openTxn()
@@ -272,9 +284,9 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
             } else c.txns.abort(txn)
             pending = None
         }
-      } else if (op < 13) {
+      } else if (op < 16) {
         seen("minor") += new Compactor(t).minorCompact().sign
-      } else if (op < 14) {
+      } else if (op < 17) {
         new Compactor(t).majorCompact()
         kept.clear()
         seen("major") += 1
@@ -285,7 +297,7 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
       }
     }
     check(t.currentSnapshot(), model, "final")
-    for (k <- Seq("read", "filtered read", "abort", "minor", "major"))
+    for (k <- Seq("read", "filtered read", "abort", "minor", "major", "merge 0", "merge 1", "merge 2", "aborted merge"))
       assert(seen(k) > 0, s"the history never made a $k: $seen")
   }
 
