@@ -126,22 +126,13 @@ object Spja {
 
   /** Text of a predicate constant on a column of type `dt`: whole numbers
     * without a fraction, other numbers as doubles, DATE values (days since
-    * the epoch) as ISO dates, strings as they are. Every pushdown target
-    * renders its constants with it. */
+    * the epoch) as ISO dates, strings as they are. The Druid pushdown
+    * renders its filter constants with it. */
   def literalText(v: Any, dt: DataType): String = v match {
     case d: Double if dt == DateType => LocalDate.ofEpochDay(d.toLong).toString
     case d: Double if d == math.rint(d) && math.abs(d) < 1e15 => d.toLong.toString
     case d: Double => d.toString
     case s: String => s
-  }
-
-  /** The constant as a SQL literal: numbers bare, DATE values typed, and
-    * strings quoted with embedded quotes doubled. */
-  def sqlLiteral(v: Any, dt: DataType): String = {
-    def quote(s: String) = "'" + s.replace("'", "''") + "'"
-    if (v.isInstanceOf[String]) quote(literalText(v, dt))
-    else if (dt == DateType) s"DATE ${quote(literalText(v, dt))}"
-    else literalText(v, dt)
   }
 
   /** Extracts the SPJA form of an *analyzed* plan whose leaf tables are the

@@ -26,9 +26,9 @@ final case class DruidQueryNode(
     s"DruidQuery ${query.queryType} on ${query.dataSource}"
 }
 
-/** Physical operator executing the attached Druid query at runtime — the
-  * storage handler's input format sending the JSON query to the external
-  * system and reading back results. */
+/** Physical operator executing the attached Druid query at runtime — what
+  * the input format of Hive's Druid storage handler does: send the JSON
+  * query to the external system and read back the results. */
 final case class DruidQueryExec(
     output: Seq[Attribute],
     query: DruidQuery,
@@ -75,9 +75,9 @@ object DruidStrategy extends Strategy {
 
 /** Hive-side federation to the Druid substrate (§6.2).
   *
-  * `registerExternalTable` is the `CREATE EXTERNAL TABLE ... STORED BY
-  * DruidStorageHandler` analogue: column names/types are inferred from
-  * Druid metadata and a scan-backed temp view is created. `pushdown`
+  * `registerExternalTable` is the analogue of Hive's `CREATE EXTERNAL TABLE
+  * ... STORED BY` a Druid storage handler: column names/types are inferred
+  * from Druid metadata and a scan-backed temp view is created. `pushdown`
   * rewrites a SPJA query over such a table into a single [[DruidQueryNode]]
   * carrying the generated JSON query.
   */
@@ -183,32 +183,5 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
         if (vals.size == 1) Selector(c, vals.head) else InFilter(c, vals.toSeq.sorted)
     }
     Some(Some(if (fs.size == 1) fs.head else AndFilter(fs)))
-  }
-}
-
-/** [[repro.federation.StorageHandler]] implementation backed by the Druid
-  * substrate. */
-final class DruidStorageHandler(spark: SparkSession, federation: DruidFederation)
-    extends repro.federation.StorageHandler {
-
-  override def name: String = "druid"
-
-  override def inputFormat(spark: SparkSession, table: repro.metastore.TableDesc,
-                           pushedQuery: Option[String]): DataFrame =
-    spark.table(table.name)
-
-  /** CREATE EXTERNAL TABLE ... STORED BY DruidStorageHandler with columns:
-    * creates the datasource in Druid from Hive. */
-  override def outputFormat(df: DataFrame, table: repro.metastore.TableDesc): Unit = {
-    val key = table.properties.get("druid.segment.key")
-    federation.sim.createDataSource(
-      table.properties.getOrElse("druid.datasource", table.name), df, key)
-    federation.registerExternalTable(table.name,
-      table.properties.getOrElse("druid.datasource", table.name))
-  }
-
-  override def metastoreHook(event: repro.federation.HookEvent): Unit = event match {
-    case repro.federation.TableDropped(n) =>
-      spark.catalog.dropTempView(n): Unit
   }
 }

@@ -8,8 +8,6 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
-import repro.federation.jdbc.DuckDbStorageHandler
-import repro.metastore.TableDesc
 
 class DruidFederationSpec extends SparkSpec {
 
@@ -110,23 +108,9 @@ class DruidFederationSpec extends SparkSpec {
     assert(f.sim.lastSegmentsPruned > 0)
   }
 
-  test("DruidStorageHandler round trip: create datasource from a DataFrame") {
-    val sim2 = new DruidSim
-    val fed2 = new DruidFederation(spark, sim2)
-    val handler = new DruidStorageHandler(spark, fed2)
-    val desc = repro.metastore.TableDesc("druid_table_2",
-      events.schema, "", storageHandler = "druid",
-      properties = Map("druid.datasource" -> "ds2", "druid.segment.key" -> "__time"))
-    handler.outputFormat(events.limit(1000), desc)
-    assert(spark.table("druid_table_2").count() == 1000)
-    handler.metastoreHook(repro.federation.TableDropped("druid_table_2"))
-    assert(!spark.catalog.tableExists("druid_table_2"))
-  }
-
-  // Pushdown equivalence: every pushed query must return what Spark returns
-  // without pushdown, on both targets, Druid (JSON) and DuckDB (SQL over
-  // JDBC), and every pushed Druid query must render valid JSON. Each row of
-  // `queries` is one query over `typed`.
+  // Pushdown equivalence: every query pushed to Druid must return what Spark
+  // returns without pushdown and render valid JSON. Each row of `queries` is
+  // one query over `typed`.
 
   /** 100 rows: k 0..99 (LONG), x = k % 5 (DOUBLE), d = 2020-01-01 + k % 10
     * days (DATE), s cycling over a, o'b, c (STRING). */
@@ -164,93 +148,28 @@ class DruidFederationSpec extends SparkSpec {
     case v         => v.toString
   }.mkString("|")).sorted
 
-  test("pushed queries on Druid and DuckDB equal the unpushed Spark result") {
+  test("pushed Druid queries equal the unpushed Spark result") {
     typed.createOrReplaceTempView("typed")
     val sim = new DruidSim
     sim.createDataSource("typed_ds", typed)
     val fed = new DruidFederation(spark, sim)
     fed.registerExternalTable("typed_druid", "typed_ds")
-    val duck = new DuckDbStorageHandler(spark)
-    duck.outputFormat(typed, TableDesc("typed_duck", typed.schema, ""))
-    typed.createOrReplaceTempView("typed_duck")
     def sql(template: String, table: String): DataFrame = spark.sql(template.replace("$T", table))
     val druidJson = new ObjectMapper
-    // every row runs on both targets; the test reports all mismatches at once
-    val failures = try queries.flatMap { case (name, q) =>
+    // the test reports the mismatches of all rows at once
+    val failures = queries.flatMap { case (name, q) =>
       val expected = canon(sql(q, "typed").collect().toSeq)
-      def check(target: String, pushed: => Option[(DataFrame, String)]): Option[String] =
-        Try(pushed.map { case (df, shown) => (canon(df.collect().toSeq), shown) }) match {
-          case Success(Some((got, _))) if got == expected => None
-          case Success(Some((got, shown))) => Some(s"$name on $target: $got, expected $expected; $shown")
-          case Success(None) => Some(s"$name: not pushed to $target")
-          case Failure(e) => Some(s"$name on $target: $e")
-        }
-      check("Druid", fed.pushdown(sql(q, "typed_druid")).map { p =>
+      Try(fed.pushdown(sql(q, "typed_druid")).map { p =>
         val json = p.query.toJson
         druidJson.readTree(json) // throws on invalid JSON
-        (p.df, json)
-      }) ++
-        check("DuckDB", duck.pushdown(sql(q, "typed_duck")))
-    } finally duck.close()
-    assert(failures.isEmpty, failures.mkString("\n", "\n", ""))
-  }
-}
-
-class DuckDbHandlerSpec extends SparkSpec {
-
-  private lazy val handler = new DuckDbStorageHandler(spark)
-
-  private lazy val sales = spark.range(0, 5000).select(
-    (col("id") % 100 + 1).as("item_sk"),
-    ((col("id") % 500) / 10.0).as("price"),
-    element_at(array(lit("x"), lit("y")), (col("id") % 2 + 1).cast("int")).as("tag"))
-
-  private def ensure(): Unit = {
-    if (!handler.registeredTables.contains("jsales")) {
-      handler.outputFormat(sales, TableDesc("jsales", sales.schema, ""))
-      sales.createOrReplaceTempView("jsales")
+        (canon(p.df.collect().toSeq), json)
+      }) match {
+        case Success(Some((got, _))) if got == expected => None
+        case Success(Some((got, json))) => Some(s"$name: $got, expected $expected; $json")
+        case Success(None) => Some(s"$name: not pushed to Druid")
+        case Failure(e) => Some(s"$name: $e")
+      }
     }
-  }
-
-  test("outputFormat ships a DataFrame into DuckDB; inputFormat reads it back") {
-    ensure()
-    val back = handler.inputFormat(spark, TableDesc("jsales", sales.schema, ""), None)
-    assert(back.count() == 5000)
-  }
-
-  test("pushdown generates SQL and matches Spark execution") {
-    ensure()
-    val df = spark.sql(
-      "SELECT tag, SUM(price) AS s, COUNT(*) AS c FROM jsales WHERE item_sk <= 50 GROUP BY tag")
-    val (result, sql) = handler.pushdown(df).get
-    assert(sql.toLowerCase.contains("group by tag"))
-    assert(sql.contains("item_sk <= 50"))
-    val expect = df.collect().map(r => (r.getString(0), math.round(r.getDouble(1)), r.getLong(2))).toSet
-    val got = result.collect().map(r => (r.getString(0), math.round(r.getDouble(1)), r.getLong(2))).toSet
-    assert(got == expect)
-  }
-
-  test("pushed SQL executes the join inside DuckDB") {
-    ensure()
-    val dim = spark.range(1, 101).select(col("id").as("d_sk"),
-      element_at(array(lit("p"), lit("q")), (col("id") % 2 + 1).cast("int")).as("cat"))
-    handler.outputFormat(dim, TableDesc("jdim", dim.schema, ""))
-    dim.createOrReplaceTempView("jdim")
-    val df = spark.sql(
-      """SELECT cat, COUNT(*) AS c FROM jsales, jdim
-        |WHERE item_sk = d_sk AND cat = 'p' GROUP BY cat""".stripMargin)
-    val (result, sql) = handler.pushdown(df).get
-    assert(sql.contains("item_sk = d_sk") || sql.contains("d_sk = item_sk"))
-    assert(result.collect().map(r => (r.getString(0), r.getLong(1))).toSet ==
-      df.collect().map(r => (r.getString(0), r.getLong(1))).toSet)
-  }
-
-  test("metastore hook drops the external table") {
-    ensure()
-    val tmp = spark.range(3).select(col("id").as("k"))
-    handler.outputFormat(tmp, TableDesc("jtmp", tmp.schema, ""))
-    assert(handler.registeredTables.contains("jtmp"))
-    handler.metastoreHook(repro.federation.TableDropped("jtmp"))
-    assert(!handler.registeredTables.contains("jtmp"))
+    assert(failures.isEmpty, failures.mkString("\n", "\n", ""))
   }
 }
