@@ -60,8 +60,6 @@ object AcidLayout {
       .filter(f => f.isDirectory && f.getName.contains("="))
   }
 
-  def partitionDirName(col: String, value: String): String = s"$col=$value"
-
   def deleteRecursively(f: File): Unit = {
     if (f.isDirectory) Option(f.listFiles()).foreach(_.foreach(deleteRecursively))
     f.delete(): Unit

@@ -184,22 +184,6 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   /** Convenience: read under a freshly acquired snapshot. */
   def readCurrent()(implicit spark: SparkSession): DataFrame = read(currentSnapshot())
 
-  /** Rows whose WriteId lies in (fromWriteId, snap.highWatermark] — the
-    * delta used by incremental materialized-view maintenance (§4.4): the
-    * MV definition enriched with WriteId filters over each scan. */
-  def readDelta(fromWriteId: Long, snap: WriteIdList)(implicit spark: SparkSession): DataFrame =
-    read(snap, includeRowIds = true)
-      .filter(col(AcidLayout.WriteIdCol) > fromWriteId)
-      .select(userColumns.map(col): _*)
-
-  /** True when any delete markers landed after `fromWriteId` — the signal
-    * that incremental (insert-only) maintenance is impossible. */
-  def hasDeletesSince(fromWriteId: Long): Boolean =
-    storeDirs().exists(dir => AcidLayout.list(dir).exists {
-      case d: DeleteDeltaDir => d.hi > fromWriteId
-      case _                 => false
-    })
-
   /** Number of partition directories that currently exist on disk. */
   def partitionDirCount: Int = listPartitionDirs(root).size
 
@@ -361,7 +345,6 @@ final class AcidTable(val catalog: Catalog, val name: String) {
         (if (partitionCol.isEmpty) "" else partitionValueOf(stage), files, dir)
       }
       staged.foreach { case (_, files, dir) => moveInto(files, dir.path) }
-      if (partitionCol.nonEmpty) catalog.addPartitions(name, staged.map(_._1).distinct)
       staged.map { case (p, _, dir) => p -> dir }
     } finally deleteRecursively(tmp)
   }

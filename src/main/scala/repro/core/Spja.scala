@@ -65,9 +65,6 @@ final case class SpjaQuery(
 
   def isAggregate: Boolean = groupBy.isDefined
 
-  /** All columns referenced by the filter conjuncts. */
-  def predColumns: Set[String] = preds.map(_.column).toSet
-
   /** The output columns in projection order. `source(column, outName)`
     * names the input column that holds each group or projected column;
     * aggregate outputs are read under their own names. */

@@ -97,8 +97,6 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
     tables.put(name, dataSource): Unit
   }
 
-  def externalTables: Set[String] = tables.keySet.toSet
-
   final case class Pushed(df: DataFrame, query: DruidQuery)
 
   /** Rewrites a SPJA plan over one external Druid table into a native

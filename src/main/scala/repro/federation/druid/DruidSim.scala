@@ -148,7 +148,6 @@ final class DruidSim {
 
   def schemaOf(name: String): StructType = ds(name).schema
   def segmentCount(name: String): Int = ds(name).segments.size
-  def dataSourceNames: Set[String] = dataSources.keySet.toSet
 
   private def ds(name: String): DataSource =
     dataSources.getOrElse(name, throw new NoSuchElementException(s"no such datasource: $name"))

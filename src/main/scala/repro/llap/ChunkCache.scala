@@ -60,14 +60,6 @@ final class ChunkCache(val capacityBytes: Long, lambda: Double = 0.05) {
     }
   }
 
-  /** Drops all chunks of a file — used when a file's identity changes.
-    * Addition of new files never invalidates existing entries (§5.1
-    * "incrementally mutable"). */
-  def invalidateFile(fileKey: String): Unit = synchronized {
-    val victims = map.keys.filter(_.fileKey == fileKey).toSeq
-    victims.foreach { k => used -= map(k).size; map.remove(k) }
-  }
-
   def clear(): Unit = synchronized { map.clear(); used = 0 }
   def usedBytes: Long = synchronized(used)
   def entryCount: Int = synchronized(map.size)

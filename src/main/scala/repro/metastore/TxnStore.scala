@@ -55,11 +55,8 @@ object WriteKind extends Enumeration {
 /** Thrown when first-commit-wins conflict resolution aborts a transaction. */
 final class TxnConflictException(msg: String) extends RuntimeException(msg)
 
-/** Thrown when a lock cannot be granted. */
-final class LockException(msg: String) extends RuntimeException(msg)
-
-/** Transaction, write-id, write-set and lock state tables — the part of HMS
-  * the ACID implementation is built on (§3.2).
+/** Transaction, write-id and write-set state tables — the part of HMS the
+  * ACID implementation is built on (§3.2).
   *
   * TxnIds are global and monotonically increasing; each txn maps to one
   * WriteId per table it writes, also monotonic but table-scoped. Commit uses
@@ -87,9 +84,6 @@ final class TxnStore {
   private var commitSeq = 0L
   /** commit sequence assigned when each txn began (for conflict windows). */
   private val txnStartSeq = mutable.Map[Long, Long]()
-
-  /** lock table: (table, partition) -> (exclusiveHolder, sharedHolders) */
-  private val locks = mutable.Map[(String, String), (Option[Long], mutable.Set[Long])]()
 
   // ---- transaction lifecycle ----
 
@@ -144,7 +138,6 @@ final class TxnStore {
     mine.foreach { case (t, p, k) => committedWriteSets += ((t, p, k, commitSeq)) }
     open -= txn
     cleanupTxn(txn)
-    releaseAll(txn)
   }
 
   def abort(txn: Long): Unit = synchronized {
@@ -156,7 +149,6 @@ final class TxnStore {
     open -= txn
     aborted += txn
     cleanupTxn(txn)
-    releaseAll(txn)
   }
 
   private def cleanupTxn(txn: Long): Unit = {
@@ -204,42 +196,4 @@ final class TxnStore {
     val referenced = tableWrites.valuesIterator.flatMap(_.valuesIterator).filter(aborted.contains).toSet
     aborted.filterInPlace(referenced.contains)
   }
-
-  // ---- locks (§3.2): shared for reads/writes, exclusive for DROP ----
-
-  /** Try-acquires a shared lock on (table, partition); "" = whole table. */
-  def acquireShared(txn: Long, table: String, partition: String = ""): Unit = synchronized {
-    val key = (table, partition)
-    val (excl, shared) = locks.getOrElseUpdate(key, (None, mutable.Set.empty))
-    excl match {
-      case Some(holder) if holder != txn =>
-        throw new LockException(s"shared lock denied on $table/$partition: exclusively held by txn $holder")
-      case _ => locks(key) = (excl, shared += txn)
-    }
-  }
-
-  /** Try-acquires an exclusive lock — only DROP TABLE / DROP PARTITION need
-    * one; everything else runs under shared locks. */
-  def acquireExclusive(txn: Long, table: String, partition: String = ""): Unit = synchronized {
-    val key = (table, partition)
-    val (excl, shared) = locks.getOrElseUpdate(key, (None, mutable.Set.empty))
-    val others = shared.toSet - txn
-    if (excl.exists(_ != txn))
-      throw new LockException(s"exclusive lock denied on $table/$partition: exclusively held")
-    if (others.nonEmpty)
-      throw new LockException(s"exclusive lock denied on $table/$partition: shared by $others")
-    locks(key) = (Some(txn), shared)
-  }
-
-  private def releaseAll(txn: Long): Unit = {
-    locks.mapValuesInPlace { case (_, (excl, shared)) =>
-      (excl.filter(_ != txn), shared -= txn)
-    }
-  }
-
-  /** Visible for tests: current holders of a lock key. */
-  def lockHolders(table: String, partition: String = ""): (Option[Long], Set[Long]) =
-    synchronized {
-      locks.get((table, partition)).map { case (e, s) => (e, s.toSet) }.getOrElse((None, Set.empty))
-    }
 }

@@ -78,14 +78,15 @@ class SnapshotScanSpec extends SparkSpec with AcidFixture {
 
     val snap = t.currentSnapshot()
     var read: DataFrame = null
-    var delta: DataFrame = null
+    var withIds: DataFrame = null
     assert(startedDuring { read = t.read(snap) }._1 == 0, "building read(snap) started a Spark job")
-    assert(startedDuring { delta = t.readDelta(1L, snap) }._1 == 0, "building readDelta started a Spark job")
+    assert(startedDuring { withIds = t.read(snap, includeRowIds = true) }._1 == 0,
+      "building the row-id read of update, delete and merge started a Spark job")
 
     val expected = (for (b <- 0 until 4; i <- 1L to 10L if (b * 100 + i) % 5 != 0)
       yield (b * 100 + i, i.toDouble, (i % 2).toInt)).toSet
     assert(rowsOf(read) == expected)
-    assert(rowsOf(delta) == expected.filter(_._1 >= 100))
+    assert(rowsOf(withIds) == expected)
 
     assert(!hasScalaUdf(read.queryExecution.optimizedPlan), "visibility is still a Scala UDF")
 

@@ -59,15 +59,6 @@ class ChunkCacheSpec extends AnyFunSuite {
     assert(cache.entryCount == 0 && cache.usedBytes == 0)
   }
 
-  test("invalidateFile drops only that file's chunks") {
-    val cache = new ChunkCache(1 << 20)
-    cache.put(key("a", 0), vec(10)); cache.put(key("a", 1), vec(10))
-    cache.put(key("b", 0), vec(10))
-    cache.invalidateFile("a")
-    assert(!cache.contains(key("a", 0)) && !cache.contains(key("a", 1)))
-    assert(cache.contains(key("b", 0)))
-  }
-
   test("duplicate put is a no-op (no double accounting)") {
     val cache = new ChunkCache(1 << 20)
     cache.put(key("a"), vec(10))

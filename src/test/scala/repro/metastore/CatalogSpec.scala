@@ -24,18 +24,4 @@ class CatalogSpec extends AnyFunSuite {
     c.createTable(desc("a"))
     assertThrows[IllegalArgumentException](c.createTable(desc("a")))
   }
-
-  test("listTables is sorted") {
-    val c = new Catalog
-    Seq("zeta", "alpha", "mid").foreach(n => c.createTable(desc(n)))
-    assert(c.listTables() == Seq("alpha", "mid", "zeta"))
-  }
-
-  test("partitions accumulate") {
-    val c = new Catalog
-    c.createTable(desc("a"))
-    c.addPartitions("a", Seq("1", "2"))
-    c.addPartitions("a", Seq("2", "3"))
-    assert(c.listPartitions("a") == Set("1", "2", "3"))
-  }
 }

@@ -154,35 +154,6 @@ class TxnStoreSpec extends AnyFunSuite {
     s.commit(t2) // serial, not concurrent -> fine
   }
 
-  test("shared locks are compatible; exclusive excludes") {
-    val s = new TxnStore
-    val t1 = s.openTxn(); val t2 = s.openTxn(); val t3 = s.openTxn()
-    s.acquireShared(t1, "t")
-    s.acquireShared(t2, "t")
-    assertThrows[LockException](s.acquireExclusive(t3, "t"))
-    s.commit(t1); s.commit(t2)
-    s.acquireExclusive(t3, "t")
-    val t4 = s.openTxn()
-    assertThrows[LockException](s.acquireShared(t4, "t"))
-  }
-
-  test("locks are released on commit and abort") {
-    val s = new TxnStore
-    val t1 = s.openTxn()
-    s.acquireExclusive(t1, "t")
-    s.abort(t1)
-    val t2 = s.openTxn()
-    s.acquireShared(t2, "t") // no exception: lock was released
-    assert(s.lockHolders("t")._2 == Set(t2))
-  }
-
-  test("partition-granularity locks are independent") {
-    val s = new TxnStore
-    val t1 = s.openTxn(); val t2 = s.openTxn()
-    s.acquireExclusive(t1, "t", "p1")
-    s.acquireExclusive(t2, "t", "p2") // different partition -> ok
-  }
-
   test("openWrites reports only writes of still-open txns") {
     val s = new TxnStore
     val t1 = s.openTxn(); s.allocateWriteId(t1, "t"); s.commit(t1)
