@@ -18,8 +18,12 @@
 # For each metric it prints each side's median, q1 and q3; the pairs the
 # change wins in the metric's `better` direction (ties count for neither);
 # whether a gain is shown (at least 9/10 of the pairs won and a median gap
-# wider than the parent's q3 - q1); and whether the change's median stays
-# within the metric's `bound` of the parent's. Then `correct` and `failed`
+# wider than the parent's q3 - q1); whether the change's median stays
+# within the metric's `bound` of the parent's; and whether the metric is
+# unresolved: either side's (q3 - q1) / median exceeds the bound, so the
+# runs spread too widely to tell a move within the bound from none, unless
+# every run of the change beats every run of the parent. Such a metric is
+# reported as unresolved, not as unchanged. Then `correct` and `failed`
 # per side. Report-only: exits 0 unless a run fails.
 set -u
 cd "$(dirname "$0")/.."
@@ -91,7 +95,8 @@ def quartiles(values):
 
 
 print(f"\n{workload}: parent {rev} against the working tree, {len(seeds)} pairs, raw results in {log}")
-print(f"{'metric':18} {'parent q1/med/q3':>26} {'change q1/med/q3':>26} {'wins':>6} {'delta':>8}  gain  in-bound")
+print(f"{'metric':18} {'parent q1/med/q3':>26} {'change q1/med/q3':>26} {'wins':>6} {'delta':>8}  gain  "
+      f"{'in-bound':15} unresolved")
 for m in bench["end_to_end"]:
     name, lower = m["name"], m["better"] == "lower"
     both = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -107,9 +112,12 @@ for m in bench["end_to_end"]:
     better_gap = (pmed - cmed) if lower else (cmed - pmed)
     gain = wins * 10 >= 9 * len(both) and better_gap > pq3 - pq1
     worse = delta if lower else -delta
+    wide = any(med and (q3 - q1) / med > m["bound"] for q1, med, q3 in ((pq1, pmed, pq3), (cq1, cmed, cq3)))
+    dominates = max(chg) < min(par) if lower else min(chg) > max(par)
+    in_bound = f"{'yes' if worse <= m['bound'] else 'NO'} (bound {m['bound']:.0%})"
     print(f"{name:18} {pq1:8.2f}/{pmed:8.2f}/{pq3:8.2f} {cq1:8.2f}/{cmed:8.2f}/{cq3:8.2f} "
           f"{wins:>3}/{len(both):<2} {delta:+8.1%}  {'yes' if gain else 'no ':4}  "
-          f"{'yes' if worse <= m['bound'] else 'NO'} (bound {m['bound']:.0%})")
+          f"{in_bound:15} {'yes' if wide and not dominates else 'no'}")
 for side in ("parent", "change"):
     done = [r for r in results[side] if r]
     print(f"{side}: {len(done)} runs, correct={all(r['correct'] for r in done)}, "

@@ -3,13 +3,16 @@ package repro.core
 import org.apache.spark.sql.Column
 import org.apache.spark.sql.functions._
 
-/** Per-column value domain used by the containment checker (§4.4).
+/** The values a conjunction of predicates allows on one column: the
+  * per-column range test of view matching (Goldstein & Larson, SIGMOD
+  * 2001), which MV containment (§4.4), the LLAP elevator's row-group
+  * pruning (§5.1) and the Druid pushdown (§6.2) all decide by.
   *
-  * A conjunction of supported predicates on one column collapses to either
-  * a numeric domain (interval intersected with an optional IN-set) or a
-  * string domain (allowed-value set). Domains support the three operations
-  * rewriting needs: intersection, implication (subset) and subtraction
-  * (for partially contained rewrites).
+  * A domain is either numeric (interval intersected with an optional
+  * IN-set) or a string domain (allowed-value set). Domains support the
+  * three operations rewriting needs: intersection, implication (subset) and
+  * subtraction (for partially contained rewrites). The constructors of the
+  * companion object are the one place where a constant becomes a domain.
   */
 sealed trait Dom {
   /** True iff every value satisfying `this` also satisfies `other`. */
@@ -61,7 +64,8 @@ final case class NumDom(
       effectiveSet match {
         case Some(vals) => vals.forall(o.contains)
         case None =>
-          if (o.inSet.isDefined) false // interval can't imply a finite set
+          // an interval implies a finite set only as a single point
+          if (o.inSet.isDefined) lo == hi && loIncl && hiIncl && o.contains(lo)
           else {
             val loOk = lo > o.lo || (lo == o.lo && (o.loIncl || !loIncl))
             val hiOk = hi < o.hi || (hi == o.hi && (o.hiIncl || !hiIncl))
@@ -71,23 +75,26 @@ final case class NumDom(
     case _ => false
   }
 
-  /** `this` minus `other`, as disjoint domains (partial rewrites, Fig 4c).
-    * Returns None when the difference is not expressible in this model. */
-  def subtract(other: NumDom): Option[Seq[NumDom]] = {
+  /** `this` minus `other`, as disjoint domains (partial rewrites, Fig 4c). */
+  def subtract(other: NumDom): Seq[NumDom] =
     effectiveSet match {
       case Some(vals) =>
-        Some(Seq(NumDom(Double.NegativeInfinity, true, Double.PositiveInfinity, true,
-          Some(vals.filterNot(other.contains)))).filter(_.inSet.exists(_.nonEmpty)))
-      case None if other.inSet.isDefined => None
+        Seq(NumDom(Double.NegativeInfinity, true, Double.PositiveInfinity, true,
+          Some(vals.filterNot(other.contains)))).filter(_.inSet.exists(_.nonEmpty))
+      case None if other.inSet.isDefined =>
+        // an interval minus finitely many points: the pieces between them
+        val cuts = other.effectiveSet.get.filter(contains).toSeq.sorted
+        val los = (lo, loIncl) +: cuts.map((_, false))
+        val his = cuts.map((_, false)) :+ ((hi, hiIncl))
+        los.zip(his).map { case ((l, li), (h, hc)) => NumDom(l, li, h, hc, None) }.filter(_.nonEmptyInterval)
       case None =>
         // a \ b = a ∩ complement(b): intersect keeps pieces clipped to a
         val below = this.intersect(
           NumDom(Double.NegativeInfinity, true, other.lo, !other.loIncl, None))
         val above = this.intersect(
           NumDom(other.hi, !other.hiIncl, Double.PositiveInfinity, true, None))
-        Some(Seq(below, above).filter(_.nonEmptyInterval))
+        Seq(below, above).filter(_.nonEmptyInterval)
     }
-  }
 
   override def toColumn(name: String): Column = {
     val c = col(name)
@@ -116,26 +123,42 @@ object Dom {
   val unconstrainedNum: NumDom =
     NumDom(Double.NegativeInfinity, true, Double.PositiveInfinity, true, None)
 
-  private def ofPred(p: Pred): Dom = p match {
-    case RangePred(_, lo, li, hi, hc) => NumDom(lo, li, hi, hc, None)
-    case InPred(_, vs)                => NumDom(Double.NegativeInfinity, true, Double.PositiveInfinity, true, Some(vs))
-    case EqStrPred(_, v)              => StrDom(Set(v))
-    case InStrPred(_, vs)             => StrDom(vs)
-  }
+  /** `column = v`. */
+  def equalTo(v: Any): Option[Dom] = in(Seq(v))
 
-  /** Folds conjunct predicates into one domain per column. Returns None if
-    * a column mixes numeric and string constraints (ill-typed query). */
-  def ofPreds(preds: Seq[Pred]): Option[Map[String, Dom]] = {
-    val grouped = preds.groupBy(_.column)
-    val out = grouped.map { case (c, ps) =>
-      val doms = ps.map(ofPred)
-      val merged = doms.reduceLeft[Dom] {
+  /** `column IN (vs)`: strings give a [[StrDom]], numbers and dates an
+    * IN-set [[NumDom]] (the shape the elevator probes Bloom indexes with). */
+  def in(vs: Seq[Any]): Option[Dom] =
+    if (vs.nonEmpty && vs.forall(_.isInstanceOf[String])) Some(StrDom(vs.map(_.toString).toSet))
+    else {
+      val ds = vs.map(num)
+      if (ds.forall(_.isDefined)) Some(unconstrainedNum.copy(inSet = Some(ds.flatten.toSet))) else None
+    }
+
+  def lessThan(v: Any): Option[Dom] = num(v).map(d => unconstrainedNum.copy(hi = d, hiIncl = false))
+  def lessThanOrEqual(v: Any): Option[Dom] = num(v).map(d => unconstrainedNum.copy(hi = d))
+  def greaterThan(v: Any): Option[Dom] = num(v).map(d => unconstrainedNum.copy(lo = d, loIncl = false))
+  def greaterThanOrEqual(v: Any): Option[Dom] = num(v).map(d => unconstrainedNum.copy(lo = d))
+
+  /** A constant as the double a domain holds: a number, or a date as days
+    * since the epoch. None for any other type, and from 2^53 on, where
+    * neighbouring longs share a double: a bound or key there would be
+    * rounded, and a rewrite or probe with it could return wrong rows. */
+  private def num(v: Any): Option[Double] = (v match {
+    case n: Number              => Some(n.doubleValue)
+    case d: java.sql.Date       => Some(d.toLocalDate.toEpochDay.toDouble)
+    case d: java.time.LocalDate => Some(d.toEpochDay.toDouble)
+    case _                      => None
+  }).filter(d => math.abs(d) < 9007199254740992.0)
+
+  /** Folds (column, domain) conjuncts into one domain per column. Returns
+    * None if a column mixes numeric and string domains (ill-typed query). */
+  def conjoin(doms: Seq[(String, Dom)]): Option[Map[String, Dom]] =
+    Some(doms.groupMap(_._1)(_._2).map { case (c, ds) =>
+      c -> ds.reduceLeft[Dom] {
         case (a: NumDom, b: NumDom) => a.intersect(b)
         case (StrDom(a), StrDom(b)) => StrDom(a.intersect(b))
         case _                      => return None
       }
-      c -> merged
-    }
-    Some(out)
-  }
+    })
 }

@@ -114,13 +114,6 @@ object MvRewriter {
 
   private[core] def tryFull(spark: SparkSession, q: SpjaQuery, v: MaterializedView,
                             catalog: Option[MvCatalog] = None): Option[DataFrame] = {
-    val qD = Dom.ofPreds(q.preds).getOrElse(return None)
-    tryFullWithDoms(spark, q, qD, v, catalog)
-  }
-
-  private def tryFullWithDoms(spark: SparkSession, q: SpjaQuery,
-                              qD: Map[String, Dom], v: MaterializedView,
-                              catalog: Option[MvCatalog] = None): Option[DataFrame] = {
     val vq = v.query
     if (q.isAggregate && q.aggs.isEmpty) return None // GROUP BY without aggregates
     // Exact table/join match, or — with constraint information — the view
@@ -133,7 +126,7 @@ object MvRewriter {
       }
       if (!extraOk) return None
     }
-    val vD = Dom.ofPreds(vq.preds).getOrElse(return None)
+    val (qD, vD) = (q.doms, vq.doms)
 
     // every view constraint must be implied by the query
     vD.foreach { case (c, vd) =>
@@ -143,9 +136,7 @@ object MvRewriter {
 
     // compensation: query constraints tighter than (or absent from) the view
     val compCols = qD.keys.filter(c => !vD.get(c).contains(qD(c))).toSeq.sorted
-    def mvName(c: String): Option[String] =
-      if (vq.isAggregate) vq.groupOut.find(_._1.column == c).map(_._2)
-      else vq.projection.find(_._1.column == c).map(_._2)
+    def mvName(c: String): Option[String] = vq.outCols.find(_._1 == c).map(_._2)
     val comp: Seq[Column] = compCols.map { c =>
       val n = mvName(c).getOrElse(return None)
       qD(c).toColumn(n)
@@ -157,27 +148,27 @@ object MvRewriter {
     (q.isAggregate, vq.isAggregate) match {
       case (false, false) =>
         // SPJ over SPJ view: project the requested columns
-        Some(filtered.select(q.outColumns((cr, _) => mvName(cr.column).getOrElse(return None)): _*))
+        Some(filtered.select(q.outColumns(c => mvName(c).getOrElse(return None)): _*))
 
       case (true, false) =>
         // aggregate over an SPJ (e.g. denormalized) view: group and
         // aggregate directly on the view. Aggregate args reference source
         // column names, so the view must expose them under the same names.
-        val groupCols = q.groupBy.get.map(_.column).distinct
+        val groupCols = q.groupBy.get.distinct
         groupCols.foreach(c => if (!mvName(c).contains(c)) return None)
         q.aggs.foreach(_.argCols.foreach(c => if (!mvName(c).contains(c)) return None))
         Some(evaluate(filtered, q))
 
       case (true, true) =>
         // SPJA over SPJA view: rollup-derive each aggregate
-        val groupCols = q.groupBy.get.map(_.column).distinct
+        val groupCols = q.groupBy.get.distinct
         val mvGroup = groupCols.map(c => mvName(c).getOrElse(return None))
         val derived = q.aggs.map { a =>
           val va = vq.aggs.find(va => va.func == a.func && va.arg == a.arg).getOrElse(return None)
           a.rollup(col(va.outName)).as(a.outName)
         }
         Some(Spja.aggregate(filtered, mvGroup, derived)
-          .select(q.outColumns((cr, _) => mvName(cr.column).get): _*))
+          .select(q.outColumns(c => mvName(c).get): _*))
 
       case (false, true) => None // SPJ query cannot read an aggregated view
     }
@@ -197,9 +188,9 @@ object MvRewriter {
   private def evaluate(df: DataFrame, q: SpjaQuery): DataFrame = {
     val agged =
       if (!q.isAggregate) df
-      else Spja.aggregate(df, q.groupBy.get.map(_.column).distinct,
+      else Spja.aggregate(df, q.groupBy.get.distinct,
         q.aggs.map(a => directAgg(a).as(a.outName)))
-    agged.select(q.outColumns((cr, _) => cr.column): _*)
+    agged.select(q.outColumns(identity): _*)
   }
 
   // --------------------------------------------------------------- partial
@@ -208,8 +199,7 @@ object MvRewriter {
                                v: MaterializedView): Option[DataFrame] = {
     val vq = v.query
     if (q.tables != vq.tables || q.joins != vq.joins) return None
-    val qD = Dom.ofPreds(q.preds).getOrElse(return None)
-    val vD = Dom.ofPreds(vq.preds).getOrElse(return None)
+    val (qD, vD) = (q.doms, vq.doms)
 
     // exactly one failing column, numeric on both sides
     val failing = vD.keys.filter { c =>
@@ -222,12 +212,11 @@ object MvRewriter {
     }
     val vd = vD(c) match { case n: NumDom => n; case _ => return None }
 
-    val missing = qd.subtract(vd).getOrElse(return None)
+    val missing = qd.subtract(vd)
     if (missing.isEmpty) return None
 
     // MV part: query restricted to the view's region on the split column
-    val mvDoms = qD.updated(c, qd.intersect(vd))
-    val part1 = tryFullWithDoms(spark, q, mvDoms, v).getOrElse(return None)
+    val part1 = tryFull(spark, q.copy(doms = qD.updated(c, qd.intersect(vd))), v).getOrElse(return None)
 
     // source part: recompute the missing region(s) from the source tables
     val missingFilter = missing.map(_.toColumn(c)).reduce(_ || _)

@@ -3,29 +3,12 @@ package repro.core
 import java.time.LocalDate
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.catalyst.CatalystTypeConverters
 import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.aggregate._
 import org.apache.spark.sql.catalyst.plans.Inner
 import org.apache.spark.sql.catalyst.plans.logical._
 import org.apache.spark.sql.types._
-
-/** A column of a named source table. Column names are assumed globally
-  * unique across the tables of one query (true for TPC-DS/SSB-style star
-  * schemas with their `ss_`/`d_`/`i_` prefixes) — this keeps the canonical
-  * expression strings both comparable and re-parsable via `expr(...)`. */
-final case class ColRef(table: String, column: String) {
-  def key: String = s"$table.$column"
-}
-
-/** Conjunct predicates the containment checker understands. Numeric and
-  * date comparisons collapse to double-valued intervals; strings keep
-  * equality/IN semantics. */
-sealed trait Pred { def column: String }
-final case class RangePred(column: String, lo: Double, loIncl: Boolean,
-                           hi: Double, hiIncl: Boolean) extends Pred
-final case class InPred(column: String, values: Set[Double]) extends Pred
-final case class EqStrPred(column: String, value: String) extends Pred
-final case class InStrPred(column: String, values: Set[String]) extends Pred
 
 /** One aggregate output: func in {sum,count,count_star,min,max}, arg as a
   * canonical bare-column expression string (re-parsable with expr()), and
@@ -41,45 +24,48 @@ final case class AggSpec(func: String, arg: Option[String], outName: String,
   }
 }
 
-/** Select-Project-Join-Aggregate normal form (§4.4).
+/** Select-Project-Join-Aggregate normal form (§4.4). Columns are named by
+  * their source column names, which are assumed globally unique across the
+  * tables of one query (true for TPC-DS/SSB-style star schemas with their
+  * `ss_`/`d_`/`i_` prefixes) — this keeps the canonical expression strings
+  * both comparable and re-parsable via `expr(...)`.
   *
-  * @param tables     source table names (one occurrence each; self-joins are
-  *                   out of scope and fail extraction)
-  * @param joins      inner equi-join conditions as sorted column-name pairs
-  * @param preds      filter conjuncts
-  * @param groupBy    group-by columns (None = SPJ, no aggregation)
-  * @param groupOut   output name of each group column (projection/rename)
-  * @param aggs       aggregate outputs in projection order
-  * @param projection SPJ only: output (column -> name) pairs
-  * @param outOrder   output column names in the query's projection order
+  * @param tables   source table names (one occurrence each; self-joins are
+  *                 out of scope and fail extraction)
+  * @param joins    inner equi-join conditions as sorted column-name pairs
+  * @param doms     the filter conjuncts as one [[Dom]] per column
+  * @param groupBy  group-by columns (None = SPJ, no aggregation)
+  * @param aggs     aggregate outputs in projection order
+  * @param outCols  (column, output name) of each group column of an
+  *                 aggregate, or of each projected column of an SPJ query
+  * @param outOrder output column names in the query's projection order
   */
 final case class SpjaQuery(
     tables: Set[String],
     joins: Set[(String, String)],
-    preds: Seq[Pred],
-    groupBy: Option[Seq[ColRef]],
-    groupOut: Seq[(ColRef, String)],
+    doms: Map[String, Dom],
+    groupBy: Option[Seq[String]],
     aggs: Seq[AggSpec],
-    projection: Seq[(ColRef, String)],
+    outCols: Seq[(String, String)],
     outOrder: Seq[String]) {
 
   def isAggregate: Boolean = groupBy.isDefined
 
-  /** The output columns in projection order. `source(column, outName)`
-    * names the input column that holds each group or projected column;
-    * aggregate outputs are read under their own names. */
-  def outColumns(source: (ColRef, String) => String): Seq[Column] =
+  /** The output columns in projection order. `source(column)` names the
+    * input column that holds each group or projected column; aggregate
+    * outputs are read under their own names. */
+  def outColumns(source: String => String): Seq[Column] =
     outOrder.map { n =>
-      (groupOut ++ projection).find(_._2 == n) match {
-        case Some((cr, _)) => F.col(source(cr, n)).as(n)
-        case None          => F.col(n)
+      outCols.find(_._2 == n) match {
+        case Some((c, _)) => F.col(source(c)).as(n)
+        case None         => F.col(n)
       }
     }
 
   /** Re-aggregates partial results that carry this query's output columns,
     * e.g. a UNION ALL of partial aggregates, into the query's result. */
   def reaggregate(partials: DataFrame): DataFrame =
-    Spja.aggregate(partials, groupOut.map(_._2).distinct,
+    Spja.aggregate(partials, outCols.map(_._2).distinct,
       aggs.map(a => a.rollup(F.col(a.outName)).as(a.outName)))
       .select(outOrder.map(F.col): _*)
 }
@@ -98,8 +84,13 @@ final case class Peeled(core: LogicalPlan, sort: Seq[(String, Boolean)], limit: 
 
 /** Extraction failure is silent (None): the rewriting rule simply does not
   * fire for plans outside the supported SPJA shape, exactly like Hive's
-  * Calcite rule only firing on SPJA expressions. */
+  * Calcite rule only firing on SPJA expressions. A filter conjunct must be
+  * a comparison or IN of a column with constants that [[Dom]]'s
+  * constructors turn into a domain. */
 object Spja {
+
+  /** A column of a named source table: the table tells joins from filters. */
+  private final case class ColRef(table: String, column: String)
 
   /** Takes a top-level LIMIT and the ORDER BY under it off `plan`. An ORDER
     * BY on anything but output columns stays in the core. */
@@ -121,16 +112,14 @@ object Spja {
   def aggregate(df: DataFrame, groupCols: Seq[String], aggs: Seq[Column]): DataFrame =
     df.groupBy(groupCols.map(F.col): _*).agg(aggs.head, aggs.tail: _*)
 
-  /** Text of a predicate constant on a column of type `dt`: whole numbers
-    * without a fraction, other numbers as doubles, DATE values (days since
-    * the epoch) as ISO dates, strings as they are. The Druid pushdown
-    * renders its filter constants with it. */
-  def literalText(v: Any, dt: DataType): String = v match {
-    case d: Double if dt == DateType => LocalDate.ofEpochDay(d.toLong).toString
-    case d: Double if d == math.rint(d) && math.abs(d) < 1e15 => d.toLong.toString
-    case d: Double => d.toString
-    case s: String => s
-  }
+  /** Text of a numeric domain value on a column of type `dt`: whole numbers
+    * without a fraction (a domain holds them exactly, see [[Dom]]), other
+    * numbers as doubles, DATE values (days since the epoch) as ISO dates.
+    * The Druid pushdown renders its IN values with it. */
+  def literalText(d: Double, dt: DataType): String =
+    if (dt == DateType) LocalDate.ofEpochDay(d.toLong).toString
+    else if (d == math.rint(d)) d.toLong.toString
+    else d.toString
 
   /** Extracts the SPJA form of an *analyzed* plan whose leaf tables are the
     * `sources` temp views (matched through their SubqueryAlias names). */
@@ -161,10 +150,11 @@ object Spja {
       case a: AttributeReference => attrTable.get(a.exprId)
       case _ => None
     }
+    def column(e: Expression): Option[String] = colOf(e).map(_.column)
 
-    // classify conjuncts into joins and filter predicates
+    // classify conjuncts into joins and filter domains
     var joins = Set.empty[(String, String)]
-    val preds = Seq.newBuilder[Pred]
+    val conjuncts = Seq.newBuilder[(String, Dom)]
     parts.conjuncts.map(resolve).flatMap(splitConjuncts).foreach { c =>
       c match {
         case Literal(true, BooleanType) => () // vacuous conjunct, drop
@@ -173,24 +163,19 @@ object Spja {
           val (a, b) = (colOf(l).get.column, colOf(r).get.column)
           joins += (if (a <= b) (a, b) else (b, a))
         case other =>
-          preds += toPred(other, colOf).getOrElse(return None)
+          conjuncts += toDom(other, column).getOrElse(return None)
       }
     }
+    val doms = Dom.conjoin(conjuncts.result()).getOrElse(return None)
 
     aggNode match {
       case None =>
         // SPJ: the plan's output must be plain (possibly renamed) columns
-        val proj = plan.output.map { a =>
-          val src = colOf(a).orElse {
-            parts.substitutions.get(a.exprId).flatMap(colOf)
-          }.getOrElse(return None)
-          (src, a.name)
-        }
-        Some(SpjaQuery(parts.tables.keySet, joins, preds.result(), None,
-          Seq.empty, Seq.empty, proj, proj.map(_._2)))
+        val proj = plan.output.map(a => (column(a).getOrElse(return None), a.name))
+        Some(SpjaQuery(parts.tables.keySet, joins, doms, None, Seq.empty, proj, proj.map(_._2)))
 
       case Some(agg) =>
-        val groupCols = agg.groupingExpressions.map(g => colOf(g).getOrElse(return None))
+        val groupCols = agg.groupingExpressions.map(g => column(g).getOrElse(return None))
         // map exprId of the aggregate's own output to names (handles the
         // optional renaming Project on top)
         val renames: Map[ExprId, String] = plan match {
@@ -202,28 +187,20 @@ object Spja {
         }
         def outName(ne: NamedExpression): String = renames.getOrElse(ne.exprId, ne.name)
 
-        val groupOut = Seq.newBuilder[(ColRef, String)]
+        val groupOut = Seq.newBuilder[(String, String)]
         val aggs = Seq.newBuilder[AggSpec]
-        val order = Seq.newBuilder[String]
-        agg.aggregateExpressions.foreach {
-          case ne @ (a: AttributeReference) =>
-            groupOut += ((colOf(a).getOrElse(return None), outName(ne)))
-            order += outName(ne)
-          case ne @ Alias(child, _) =>
-            stripCast(resolve(child)) match {
-              case ae: AggregateExpression =>
-                aggs += toAggSpec(ae, outName(ne), e => canon(e, colOf),
-                  e => argColsOf(e, colOf)).getOrElse(return None)
-                order += outName(ne)
-              case a: AttributeReference =>
-                groupOut += ((colOf(a).getOrElse(return None), outName(ne)))
-                order += outName(ne)
-              case _ => return None
-            }
-          case _ => return None
+        agg.aggregateExpressions.foreach { ne =>
+          stripCast(resolve(ne match { case Alias(child, _) => child; case other => other })) match {
+            case ae: AggregateExpression =>
+              aggs += toAggSpec(ae, outName(ne), e => canon(e, column),
+                e => argColsOf(e, column)).getOrElse(return None)
+            case a: AttributeReference =>
+              groupOut += ((column(a).getOrElse(return None), outName(ne)))
+            case _ => return None
+          }
         }
-        Some(SpjaQuery(parts.tables.keySet, joins, preds.result(),
-          Some(groupCols), groupOut.result(), aggs.result(), Seq.empty, order.result()))
+        Some(SpjaQuery(parts.tables.keySet, joins, doms, Some(groupCols), aggs.result(),
+          groupOut.result(), agg.aggregateExpressions.map(outName)))
     }
   } catch {
     case _: UnsupportedPlanException => None
@@ -274,68 +251,37 @@ object Spja {
     case other            => other
   }
 
-  /** Literal to a comparable double (ints, longs, doubles, decimals, dates). */
-  private def litNum(e: Expression): Option[Double] = stripFoldable(e) match {
-    case Literal(v, dt) => dt match {
-      case _: IntegerType => Some(v.asInstanceOf[Int].toDouble)
-      case _: LongType    => Some(v.asInstanceOf[Long].toDouble)
-      case _: DoubleType  => Some(v.asInstanceOf[Double])
-      case _: FloatType   => Some(v.asInstanceOf[Float].toDouble)
-      case _: ShortType   => Some(v.asInstanceOf[Short].toDouble)
-      case _: DecimalType => Some(v.asInstanceOf[org.apache.spark.sql.types.Decimal].toDouble)
-      case _: DateType    => Some(v.asInstanceOf[Int].toDouble) // days since epoch
-      case _              => None
-    }
+  /** The value of a constant operand as a Scala object (a number,
+    * `java.sql.Date`, `String`, …): a literal, or a cast of constants
+    * folded. */
+  private def constant(e: Expression): Option[Any] = e match {
+    case _: Literal | _: Cast if e.foldable =>
+      Some(CatalystTypeConverters.convertToScala(e.eval(), e.dataType))
     case _ => None
   }
 
-  private def litStr(e: Expression): Option[String] = stripFoldable(e) match {
-    case Literal(v: org.apache.spark.unsafe.types.UTF8String, StringType) => Some(v.toString)
-    case Literal(v, StringType) if v != null => Some(v.toString)
-    case _ => None
-  }
-
-  private def stripFoldable(e: Expression): Expression = e match {
-    case c @ Cast(_, _, _, _) if c.foldable => Literal.create(c.eval(), c.dataType)
-    case other => other
-  }
-
-  private def toPred(e: Expression, colOf: Expression => Option[ColRef]): Option[Pred] = {
-    def c(x: Expression): Option[String] = colOf(x).map(_.column)
+  /** A filter conjunct as the domain it allows on one column: a comparison
+    * of the column with a constant, on either side, or an IN list. */
+  private def toDom(e: Expression, column: Expression => Option[String]): Option[(String, Dom)] = {
+    // `l op r`; `flipped` is the same comparison read from the right
+    def cmp(l: Expression, r: Expression, op: Any => Option[Dom],
+            flipped: Any => Option[Dom]): Option[(String, Dom)] =
+      (column(l), constant(r)) match {
+        case (Some(c), Some(v)) => op(v).map(c -> _)
+        case _                  => for (c <- column(r); v <- constant(l); d <- flipped(v)) yield c -> d
+      }
     e match {
-      case EqualTo(l, r) =>
-        (c(l), litNum(r), litStr(r), c(r), litNum(l), litStr(l)) match {
-          case (Some(col), Some(v), _, _, _, _) => Some(RangePred(col, v, true, v, true))
-          case (Some(col), _, Some(s), _, _, _) => Some(EqStrPred(col, s))
-          case (_, _, _, Some(col), Some(v), _) => Some(RangePred(col, v, true, v, true))
-          case (_, _, _, Some(col), _, Some(s)) => Some(EqStrPred(col, s))
-          case _ => None
-        }
-      case GreaterThan(l, r)        => binRange(c(l), litNum(r), lo = true, incl = false)
-                                        .orElse(binRange(c(r), litNum(l), lo = false, incl = false))
-      case GreaterThanOrEqual(l, r) => binRange(c(l), litNum(r), lo = true, incl = true)
-                                        .orElse(binRange(c(r), litNum(l), lo = false, incl = true))
-      case LessThan(l, r)           => binRange(c(l), litNum(r), lo = false, incl = false)
-                                        .orElse(binRange(c(r), litNum(l), lo = true, incl = false))
-      case LessThanOrEqual(l, r)    => binRange(c(l), litNum(r), lo = false, incl = true)
-                                        .orElse(binRange(c(r), litNum(l), lo = true, incl = true))
+      case EqualTo(l, r)            => cmp(l, r, Dom.equalTo, Dom.equalTo)
+      case GreaterThan(l, r)        => cmp(l, r, Dom.greaterThan, Dom.lessThan)
+      case GreaterThanOrEqual(l, r) => cmp(l, r, Dom.greaterThanOrEqual, Dom.lessThanOrEqual)
+      case LessThan(l, r)           => cmp(l, r, Dom.lessThan, Dom.greaterThan)
+      case LessThanOrEqual(l, r)    => cmp(l, r, Dom.lessThanOrEqual, Dom.greaterThanOrEqual)
       case In(v, list) =>
-        c(v).flatMap { col =>
-          val nums = list.map(litNum)
-          val strs = list.map(litStr)
-          if (nums.forall(_.isDefined)) Some(InPred(col, nums.flatten.toSet))
-          else if (strs.forall(_.isDefined)) Some(InStrPred(col, strs.flatten.toSet))
-          else None
-        }
+        val vs = list.map(constant)
+        for (c <- column(v) if vs.forall(_.isDefined); d <- Dom.in(vs.flatten)) yield c -> d
       case _ => None
     }
   }
-
-  private def binRange(col: Option[String], v: Option[Double],
-                       lo: Boolean, incl: Boolean): Option[Pred] =
-    for (cc <- col; vv <- v) yield
-      if (lo) RangePred(cc, vv, incl, Double.PositiveInfinity, true)
-      else RangePred(cc, Double.NegativeInfinity, true, vv, incl)
 
   private def toAggSpec(ae: AggregateExpression, name: String,
                         canonF: Expression => String,
@@ -351,21 +297,20 @@ object Spja {
     }
   }
 
-  private def argColsOf(e: Expression, colOf: Expression => Option[ColRef]): Set[String] =
-    e.collect { case a: AttributeReference => colOf(a).map(_.column) }.flatten.toSet
+  private def argColsOf(e: Expression, column: Expression => Option[String]): Set[String] =
+    e.collect { case a: AttributeReference => column(a) }.flatten.toSet
 
   /** Canonical bare-column expression string: comparable across plans and
     * re-parsable via functions.expr on a frame with those column names. */
-  private def canon(e: Expression, colOf: Expression => Option[ColRef]): String = e match {
-    case a: AttributeReference =>
-      colOf(a).map(_.column).getOrElse(throw new UnsupportedPlanException)
-    case Cast(c, _, _, _) => canon(c, colOf)
+  private def canon(e: Expression, column: Expression => Option[String]): String = e match {
+    case a: AttributeReference => column(a).getOrElse(throw new UnsupportedPlanException)
+    case Cast(c, _, _, _) => canon(c, column)
     case Literal(v, StringType) => s"'$v'"
     case Literal(v, _) => String.valueOf(v)
-    case Add(l, r, _)      => s"(${canon(l, colOf)} + ${canon(r, colOf)})"
-    case Subtract(l, r, _) => s"(${canon(l, colOf)} - ${canon(r, colOf)})"
-    case Multiply(l, r, _) => s"(${canon(l, colOf)} * ${canon(r, colOf)})"
-    case Divide(l, r, _)   => s"(${canon(l, colOf)} / ${canon(r, colOf)})"
+    case Add(l, r, _)      => s"(${canon(l, column)} + ${canon(r, column)})"
+    case Subtract(l, r, _) => s"(${canon(l, column)} - ${canon(r, column)})"
+    case Multiply(l, r, _) => s"(${canon(l, column)} * ${canon(r, column)})"
+    case Divide(l, r, _)   => s"(${canon(l, column)} / ${canon(r, column)})"
     case _ => throw new UnsupportedPlanException
   }
 }

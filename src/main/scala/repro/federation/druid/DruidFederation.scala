@@ -13,7 +13,7 @@ import org.apache.spark.sql.repro.PlanUtils
 import org.apache.spark.sql.types._
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{AggSpec, Dom, NumDom, Pred, Spja, StrDom}
+import repro.core.{AggSpec, NumDom, Spja, SpjaQuery, StrDom}
 
 /** Logical leaf carrying a Druid query attached to the scan — the
   * Calcite-style result of pushing a sequence of operators into Druid
@@ -108,14 +108,14 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
     val dataSource = tables(q.tables.head)
     val schema = sim.schemaOf(dataSource)
 
-    val filter = predsToFilter(q.preds, schema).getOrElse(return None)
+    val filter = toFilter(q, schema)
 
     val (query, attrs) =
       if (!q.isAggregate) {
         if (peeled.limit.isDefined) return None // scan with limit: not pushed
         (DruidQuery("scan", dataSource, filter = filter), toAttributes(schema))
       } else {
-        val dims = q.groupBy.get.map(_.column).distinct
+        val dims = q.groupBy.get.distinct
         val aggs = q.aggs.map { a => toDruidAgg(a, schema).getOrElse(return None) }
         val qt = if (dims.isEmpty) "timeseries" else "groupBy"
         (DruidQuery(qt, dataSource, dimensions = dims, aggregations = aggs,
@@ -124,7 +124,7 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
             q.aggs.map(a => AttributeReference(a.outName, aggDataType(a, schema))()))
       }
     val out = PlanUtils.ofRows(spark, DruidQueryNode(attrs, query, sim))
-      .select(q.outColumns((cr, _) => cr.column): _*)
+      .select(q.outColumns(identity): _*)
     // a limitSpec already ordered and limited inside Druid; re-applying the
     // ordering makes the Spark-side row order match the SQL
     Some(Pushed(peeled.reapply(out), query))
@@ -164,10 +164,9 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
     }
   }
 
-  private def predsToFilter(preds: Seq[Pred], schema: StructType): Option[Option[DruidFilter]] = {
-    if (preds.isEmpty) return Some(None)
-    val doms = Dom.ofPreds(preds).getOrElse(return None)
-    val fs = doms.toSeq.sortBy(_._1).map {
+  /** The query's domains as one Druid filter; None when it has none. */
+  private def toFilter(q: SpjaQuery, schema: StructType): Option[DruidFilter] = {
+    val fs = q.doms.toSeq.sortBy(_._1).map {
       case (c, n: NumDom) =>
         n.effectiveSet match {
           case Some(vals) =>
@@ -180,6 +179,6 @@ final class DruidFederation(spark: SparkSession, val sim: DruidSim) {
       case (c, StrDom(vals)) =>
         if (vals.size == 1) Selector(c, vals.head) else InFilter(c, vals.toSeq.sorted)
     }
-    Some(Some(if (fs.size == 1) fs.head else AndFilter(fs)))
+    if (fs.size <= 1) fs.headOption else Some(AndFilter(fs))
   }
 }

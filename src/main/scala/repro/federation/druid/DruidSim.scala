@@ -12,7 +12,12 @@ import org.apache.spark.sql.types._
 sealed trait DruidFilter
 final case class Selector(dimension: String, value: String) extends DruidFilter
 final case class Bound(dimension: String, lower: Option[Double], upper: Option[Double],
-                       lowerStrict: Boolean = false, upperStrict: Boolean = false) extends DruidFilter
+                       lowerStrict: Boolean = false, upperStrict: Boolean = false) extends DruidFilter {
+  /** True when some value in [mn, mx] lies within the bound. */
+  def meets(mn: Double, mx: Double): Boolean =
+    lower.forall(l => if (lowerStrict) mx > l else mx >= l) &&
+      upper.forall(h => if (upperStrict) mn < h else mn <= h)
+}
 final case class InFilter(dimension: String, values: Seq[String]) extends DruidFilter
 final case class AndFilter(fields: Seq[DruidFilter]) extends DruidFilter
 
@@ -26,7 +31,6 @@ final case class DruidQuery(
     dimensions: Seq[String] = Seq.empty,
     aggregations: Seq[DruidAgg] = Seq.empty,
     filter: Option[DruidFilter] = None,
-    intervals: Option[(Double, Double)] = None, // [lo, hi] on the segment key
     limitSpec: Option[LimitSpec] = None) {
 
   def toJson: String = {
@@ -55,7 +59,6 @@ final case class DruidQuery(
           .mkString(", ")}]""")
       else None,
       filter.map(f => s""""filter": ${fjson(f)}"""),
-      intervals.map { case (lo, hi) => s""""intervals": [ ${str(s"$lo/$hi")} ]""" },
       limitSpec.map { ls =>
         s""""limitSpec": { "limit": ${ls.limit}, "columns": [${ls.columns.map {
           case (c, desc) =>
@@ -153,21 +156,17 @@ final class DruidSim {
     dataSources.getOrElse(name, throw new NoSuchElementException(s"no such datasource: $name"))
 
   /** Executes a query, returning rows of (dimensions ++ aggregations) for
-    * groupBy/timeseries or full rows for scan. */
-  def execute(q0: DruidQuery): Seq[Map[String, Any]] = {
-    val source = ds(q0.dataSource)
-    // the interval is both a segment-pruning bound and a row filter for
-    // segments it only partially covers
-    val q = (q0.intervals, source.segmentKey) match {
-      case (Some((lo, hi)), Some(k)) =>
-        val bound = Bound(k, Some(lo), Some(hi))
-        q0.copy(filter = Some(q0.filter.map(f => AndFilter(Seq(f, bound))).getOrElse(bound)))
-      case _ => q0
-    }
-    // segment pruning by interval on the segment key
-    val (live, pruned) = source.segments.partition { s =>
-      q.intervals.forall { case (lo, hi) => s.keyHi >= lo && s.keyLo <= hi }
-    }
+    * groupBy/timeseries or full rows for scan. A segment is read only when
+    * its key range meets every `Bound` on the segment key that the filter
+    * holds, alone or inside its top-level `and`: Druid's pruning by the
+    * `__time` interval. The bounds still filter the rows of the segments read. */
+  def execute(q: DruidQuery): Seq[Map[String, Any]] = {
+    val source = ds(q.dataSource)
+    val keyBounds = q.filter.toSeq.flatMap {
+      case AndFilter(fs) => fs
+      case f             => Seq(f)
+    }.collect { case b: Bound if source.segmentKey.contains(b.dimension) => b }
+    val (live, pruned) = source.segments.partition(s => keyBounds.forall(_.meets(s.keyLo, s.keyHi)))
     lastSegmentsScanned = live.size
     lastSegmentsPruned = pruned.size
 
@@ -228,10 +227,10 @@ final class DruidSim {
           if (schema(d).dataType == DateType) LocalDate.parse(v).toEpochDay.toDouble else v.toDouble
         }.toSet
         (0 until s.numRows).filter(i => set.contains(numOf(s.columns(d)(i))))
-      case Bound(d, lo, hi, ls, us) =>
+      case b: Bound =>
         (0 until s.numRows).filter { i =>
-          val v = numOf(s.columns(d)(i))
-          lo.forall(l => if (ls) v > l else v >= l) && hi.forall(h => if (us) v < h else v <= h)
+          val v = numOf(s.columns(b.dimension)(i))
+          b.meets(v, v)
         }
       case AndFilter(fs) =>
         fs.map(eval(_).toSet).reduce(_ intersect _).toSeq.sorted

@@ -17,7 +17,7 @@ import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.core.{Dom, InPred, NumDom, Pred, RangePred}
+import repro.core.{Dom, NumDom}
 
 /** DataSourceV2 provider for OrcLite directories served through the LLAP
   * I/O elevator (§5.1).
@@ -111,40 +111,25 @@ private final class LlapScanBuilder(path: String, tableSchema: StructType, llap:
 }
 
 private object LlapScanBuilder {
-  /** Maps v1 filters onto core predicates and folds them into one numeric
-    * domain per column; returns (domains, accepted filters). */
+  /** Maps v1 filters through [[Dom]]'s constructors and folds the numeric
+    * domains into one per column; returns (domains, accepted filters). A
+    * filter whose constant yields no domain is not pushed: from 2^53 on
+    * (see `Dom`), the elevator would skip a row group by a rounded bound or
+    * probe the Bloom index with a rounded key. */
   def toDoms(filters: Array[sources.Filter]): (Map[String, NumDom], Array[sources.Filter]) = {
-    def num(v: Any): Option[Double] = v match {
-      case n: Number         => Some(n.doubleValue)
-      case d: java.sql.Date  => Some(d.toLocalDate.toEpochDay.toDouble)
-      case d: java.time.LocalDate => Some(d.toEpochDay.toDouble)
-      case _                 => None
-    }
-    // Bounds, row-group stats and IN values are doubles. From 2^53 on,
-    // neighbouring longs share a double: a strict bound there stays
-    // inclusive, and an equality or IN value is not pushed at all, since
-    // the Bloom index would be probed with a rounded key.
-    def exact(d: Double): Boolean = math.abs(d) < 9007199254740992.0
-    def key(v: Any): Option[Double] = num(v).filter(exact)
-    val inf = Double.PositiveInfinity
-
     val out = filters.flatMap { f =>
-      val pred: Option[Pred] = f match {
-        case sources.EqualTo(c, v)            => key(v).map(d => InPred(c, Set(d)))
-        case sources.GreaterThan(c, v)        => num(v).map(d => RangePred(c, d, !exact(d), inf, true))
-        case sources.GreaterThanOrEqual(c, v) => num(v).map(RangePred(c, _, true, inf, true))
-        case sources.LessThan(c, v)           => num(v).map(d => RangePred(c, -inf, true, d, !exact(d)))
-        case sources.LessThanOrEqual(c, v)    => num(v).map(RangePred(c, -inf, true, _, true))
-        case sources.In(c, vs) =>
-          val ds = vs.toSeq.map(key)
-          if (ds.forall(_.isDefined)) Some(InPred(c, ds.flatten.toSet)) else None
-        case _ => None
+      val dom: Option[(String, Dom)] = f match {
+        case sources.EqualTo(c, v)            => Dom.equalTo(v).map(c -> _)
+        case sources.GreaterThan(c, v)        => Dom.greaterThan(v).map(c -> _)
+        case sources.GreaterThanOrEqual(c, v) => Dom.greaterThanOrEqual(v).map(c -> _)
+        case sources.LessThan(c, v)           => Dom.lessThan(v).map(c -> _)
+        case sources.LessThanOrEqual(c, v)    => Dom.lessThanOrEqual(v).map(c -> _)
+        case sources.In(c, vs)                => Dom.in(vs.toSeq).map(c -> _)
+        case _                                => None
       }
-      pred.map(p => (p, f))
+      dom.collect { case (c, d: NumDom) => ((c, d), f) }
     }
-    val doms = Dom.ofPreds(out.map(_._1).toSeq).getOrElse(Map.empty)
-      .collect { case (c, d: NumDom) => c -> d }
-    (doms, out.map(_._2))
+    (out.map(_._1).groupMapReduce(_._1)(_._2)(_ intersect _), out.map(_._2))
   }
 }
 

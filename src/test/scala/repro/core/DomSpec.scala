@@ -41,30 +41,40 @@ class DomSpec extends AnyFunSuite with PropSupport {
     assert(!between(1, 3).implies(inSet(1, 2, 3)))
   }
 
+  test("a point interval implies an IN-set holding it; an interval minus an IN-set is the pieces between its points") {
+    // the shape of a view's numeric `=`, which is a one-value IN-set
+    assert(between(2018, 2018).implies(inSet(2018)))
+    assert(!between(2018, 2019).implies(inSet(2018)))
+    assert(gt(2016).subtract(inSet(2018, 2030, 2000)) == Seq(
+      NumDom(2016, false, 2018, false, None),
+      NumDom(2018, false, 2030, false, None),
+      NumDom(2030, false, Double.PositiveInfinity, true, None)))
+  }
+
   test("intersect narrows both bounds") {
     val x = gt(2016).intersect(between(2000, 2018))
     assert(x == NumDom(2016, false, 2018, true, None))
   }
 
   test("subtract: Fig 4c complement (query > 2016, view > 2017)") {
-    val diff = gt(2016).subtract(gt(2017)).get
+    val diff = gt(2016).subtract(gt(2017))
     assert(diff == Seq(NumDom(2016, false, 2017, true, None)),
       "missing slice must be 2016 < year <= 2017")
   }
 
   test("subtract with both bounds produces up to two pieces") {
-    val diff = between(0, 100).subtract(between(40, 60)).get
+    val diff = between(0, 100).subtract(between(40, 60))
     assert(diff == Seq(
       NumDom(0, true, 40, false, None),
       NumDom(60, false, 100, true, None)))
   }
 
   test("subtract of a superset is empty") {
-    assert(between(50, 60).subtract(between(0, 100)).get.isEmpty)
+    assert(between(50, 60).subtract(between(0, 100)).isEmpty)
   }
 
   test("subtract on IN-sets filters members") {
-    val diff = inSet(1, 2, 3, 4).subtract(between(2, 3)).get
+    val diff = inSet(1, 2, 3, 4).subtract(between(2, 3))
     assert(diff.map(_.inSet.get) == Seq(Set(1.0, 4.0)))
   }
 
@@ -78,18 +88,17 @@ class DomSpec extends AnyFunSuite with PropSupport {
     assert(!gt(1).implies(StrDom(Set("a"))))
   }
 
-  test("ofPreds folds conjuncts per column") {
-    val doms = Dom.ofPreds(Seq(
-      RangePred("x", 0, true, 100, true),
-      RangePred("x", 50, false, Double.PositiveInfinity, true),
-      EqStrPred("s", "hello"))).get
+  test("conjoin folds conjuncts per column") {
+    val doms = Dom.conjoin(Seq(
+      "x" -> between(0, 100),
+      "x" -> gt(50),
+      "s" -> StrDom(Set("hello")))).get
     assert(doms("x") == NumDom(50, false, 100, true, None))
     assert(doms("s") == StrDom(Set("hello")))
   }
 
-  test("ofPreds rejects mixed numeric/string constraints on one column") {
-    assert(Dom.ofPreds(Seq(
-      RangePred("x", 0, true, 1, true), EqStrPred("x", "a"))).isEmpty)
+  test("conjoin rejects mixed numeric/string constraints on one column") {
+    assert(Dom.conjoin(Seq("x" -> between(0, 1), "x" -> StrDom(Set("a")))).isEmpty)
   }
 
   test("property: subtract pieces are disjoint from the subtrahend and within the minuend") {
@@ -97,7 +106,7 @@ class DomSpec extends AnyFunSuite with PropSupport {
       lo <- Gen.chooseNum(-50, 50); w <- Gen.chooseNum(0, 50)
     } yield between(lo.toDouble, (lo + w).toDouble)
     checkProp(Prop.forAll(genDom, genDom) { (a, b) =>
-      a.subtract(b).get.forall { piece =>
+      a.subtract(b).forall { piece =>
         val probes = Seq(piece.lo, piece.hi, (piece.lo + piece.hi) / 2).filter(piece.contains)
         probes.forall(v => a.contains(v) && !b.contains(v))
       }

@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{array, explode, lit}
+
 import repro.{Oracle, SparkSpec}
 
 /** Materialized view rewriting (§4.4) — Figure 4 scenarios and beyond.
@@ -81,6 +83,24 @@ class MvRewriteSpec extends SparkSpec with StarFixture {
         |WHERE ss_sold_date_sk = d_date_sk AND d_year::INT > 2016
         |GROUP BY d_year::INT, d_moy::INT""".stripMargin,
       "store_sales" -> storeSales, "date_dim" -> dateDim)
+  }
+
+  test("partial rewrite over a view with a numeric equality (a one-value IN-set)") {
+    val c2 = starCatalog()
+    c2.createMaterializedView("mv_2018",
+      """SELECT d_year, d_moy, SUM(ss_sales_price) AS sum_sales
+        |FROM store_sales, date_dim
+        |WHERE ss_sold_date_sk = d_date_sk AND d_year = 2018
+        |GROUP BY d_year, d_moy""".stripMargin)
+    val sql =
+      """SELECT d_year, d_moy, SUM(ss_sales_price) AS sum_sales
+        |FROM store_sales, date_dim
+        |WHERE ss_sold_date_sk = d_date_sk AND d_year > 2016
+        |GROUP BY d_year, d_moy""".stripMargin
+    val rw = MvRewriter.rewrite(spark, spark.sql(sql), c2).get
+    assert(rw.kind == MvRewriter.PartialContainment && rw.view == "mv_2018")
+    assertSameResult(rw.df, spark.sql(sql))
+    c2.drop("mv_2018")
   }
 
   test("rollup: group-by subset of the view's grouping") {
@@ -172,6 +192,21 @@ class MvRewriteSpec extends SparkSpec with StarFixture {
     val exp = spark.sql(sql).collect().map(r => math.round(r.getDouble(1) * 100)).toSeq
     assert(got == exp, "descending order and limit must survive the rewrite")
     c2.drop("mv_denorm2")
+  }
+
+  test("an equality on a long from 2^53 on is not rewritten, so Spark's exact answer comes back") {
+    val c2 = starCatalog()
+    val big = 1L << 53
+    spark.range(1).select(explode(array(lit(big), lit(big + 1))).as("k")).createOrReplaceTempView("big_t")
+    c2.registerSource("big_t")
+    c2.createMaterializedView("mv_big", "SELECT k FROM big_t")
+    // as doubles, 2^53 and 2^53 + 1 are one value: a compensation filter
+    // over the view would keep both rows
+    val df = spark.sql(s"SELECT k FROM big_t WHERE k = ${big + 1}")
+    val rw = MvRewriter.rewrite(spark, df, c2)
+    assert(rw.fold(df)(_.df).collect().map(_.getLong(0)).toSeq == Seq(big + 1))
+    assert(rw.isEmpty)
+    c2.drop("mv_big")
   }
 
   test("stale MV detection: rebuild refreshes contents") {

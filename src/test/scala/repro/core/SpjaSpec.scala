@@ -19,8 +19,8 @@ class SpjaSpec extends SparkSpec with StarFixture {
         |GROUP BY d_year""".stripMargin).get
     assert(q.tables == Set("store_sales", "date_dim"))
     assert(q.joins == Set(("d_date_sk", "ss_sold_date_sk")))
-    assert(q.preds == Seq(RangePred("d_year", 2017, false, Double.PositiveInfinity, true)))
-    assert(q.groupBy.get.map(_.column) == Seq("d_year"))
+    assert(q.doms == Map("d_year" -> NumDom(2017, false, Double.PositiveInfinity, true, None)))
+    assert(q.groupBy.get == Seq("d_year"))
     assert(q.aggs.map(a => (a.func, a.arg)) ==
       Seq(("sum", Some("ss_sales_price")), ("count_star", None)))
     assert(q.outOrder == Seq("d_year", "sum_sales", "cnt"))
@@ -51,10 +51,10 @@ class SpjaSpec extends SparkSpec with StarFixture {
         |WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk
         |AND d_moy IN (1,2,3) AND i_category = 'Sports' AND ss_quantity <= 5
         |""".stripMargin).get
-    assert(q.preds.toSet == Set(
-      InPred("d_moy", Set(1.0, 2.0, 3.0)),
-      EqStrPred("i_category", "Sports"),
-      RangePred("ss_quantity", Double.NegativeInfinity, true, 5, true)))
+    assert(q.doms == Map(
+      "d_moy" -> NumDom(Double.NegativeInfinity, true, Double.PositiveInfinity, true, Some(Set(1.0, 2.0, 3.0))),
+      "i_category" -> StrDom(Set("Sports")),
+      "ss_quantity" -> NumDom(Double.NegativeInfinity, true, 5, true, None)))
   }
 
   test("global aggregate has empty group list") {
@@ -67,13 +67,15 @@ class SpjaSpec extends SparkSpec with StarFixture {
       """SELECT ss_item_sk, d_year FROM store_sales, date_dim
         |WHERE ss_sold_date_sk = d_date_sk AND d_year = 2018""".stripMargin).get
     assert(!q.isAggregate)
-    assert(q.projection.map { case (c, n) => (c.column, n) } ==
-      Seq(("ss_item_sk", "ss_item_sk"), ("d_year", "d_year")))
+    assert(q.outCols == Seq(("ss_item_sk", "ss_item_sk"), ("d_year", "d_year")))
+    // numeric equality is the one-value IN-set
+    assert(q.doms == Map("d_year" ->
+      NumDom(Double.NegativeInfinity, true, Double.PositiveInfinity, true, Some(Set(2018.0)))))
   }
 
   test("aliased projection keeps source column and output name") {
     val q = extract("SELECT ss_item_sk AS sk FROM store_sales").get
-    assert(q.projection == Seq((ColRef("store_sales", "ss_item_sk"), "sk")))
+    assert(q.outCols == Seq(("ss_item_sk", "sk")))
   }
 
   test("min/max/count(col) aggregate specs") {
@@ -117,6 +119,6 @@ class SpjaSpec extends SparkSpec with StarFixture {
   test("filter literal on either side of the comparison") {
     val a = extract("SELECT COUNT(*) AS c FROM date_dim WHERE d_year > 2017").get
     val b = extract("SELECT COUNT(*) AS c FROM date_dim WHERE 2017 < d_year").get
-    assert(a.preds == b.preds)
+    assert(a.doms == b.doms)
   }
 }

@@ -99,13 +99,28 @@ class DruidFederationSpec extends SparkSpec {
   test("segment pruning happens for interval-style filters pushed on the key") {
     val f = fed
     val df = spark.sql(
-      "SELECT SUM(m1) AS s FROM druid_table_1 WHERE __time >= 0 AND __time <= 999")
+      """SELECT COUNT(*) AS c FROM druid_table_1
+        |WHERE __time >= 2000 AND __time <= 2999 AND d1 IN ('a', 'b', 'c', 'd')""".stripMargin)
     val pushed = f.pushdown(df).get
-    pushed.df.collect()
-    // Bound on the segment key is a filter, not an interval, in this sim;
-    // verify via an explicit interval query that pruning machinery works
-    f.sim.execute(pushed.query.copy(intervals = Some((0.0, 999.0))))
-    assert(f.sim.lastSegmentsPruned > 0)
+    // the bound on the key sits inside the filter's `and`
+    assert(pushed.query.filter.contains(AndFilter(Seq(
+      Bound("__time", Some(2000.0), Some(2999.0)), InFilter("d1", Seq("a", "b", "c", "d"))))))
+    assert(df.collect()(0).getLong(0) == 1000) // unpushed: a scan of all 16 segments
+    assert(pushed.df.collect()(0).getLong(0) == 1000)
+    // 16 segments of 1 250 keys: the bound meets [1250, 2499] and [2500, 3749]
+    assert(f.sim.lastSegmentsScanned == 2 && f.sim.lastSegmentsPruned == 14)
+  }
+
+  test("a key from 2^53 on is not pushed, so Spark's exact answer comes back") {
+    val f = fed
+    val big = 1L << 53
+    f.sim.createDataSource("big_ds", spark.range(1).select(explode(array(lit(big), lit(big + 1))).as("k")))
+    f.registerExternalTable("big_druid", "big_ds")
+    // as doubles, 2^53 and 2^53 + 1 are one value: a pushed filter would match both rows
+    val df = spark.sql(s"SELECT COUNT(*) AS c FROM big_druid WHERE k = ${big + 1}")
+    val pushed = f.pushdown(df)
+    assert(pushed.fold(df)(_.df).collect()(0).getLong(0) == 1)
+    assert(pushed.isEmpty)
   }
 
   // Pushdown equivalence: every query pushed to Druid must return what Spark

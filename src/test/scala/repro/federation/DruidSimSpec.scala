@@ -27,9 +27,10 @@ class DruidSimSpec extends SparkSpec {
   test("scan returns all rows; interval prunes segments") {
     val all = sim.execute(DruidQuery("scan", "events"))
     assert(all.size == 10000)
-    val some = sim.execute(DruidQuery("scan", "events", intervals = Some((2500.0, 3499.0))))
-    assert(some.size == 1000, "interval must filter rows inside boundary segments")
-    // the interval spans parts of two 1000-row segments
+    val some = sim.execute(DruidQuery("scan", "events",
+      filter = Some(Bound("__time", Some(2500.0), Some(3499.0)))))
+    assert(some.size == 1000, "the bound must filter rows inside boundary segments")
+    // the bound on the segment key spans parts of two 1000-row segments
     assert(sim.lastSegmentsPruned == 8 && sim.lastSegmentsScanned == 2)
   }
 
