@@ -287,15 +287,13 @@ final class AcidTable(val catalog: Catalog, val name: String) {
   }
 
   /** Writes one statement's events and records its write set: `deletes`
-    * (Update or Delete) for every partition that got a delete delta, Insert
-    * for every one that got a delta. First-commit-wins compares only the
-    * former. Returns the number of delete events, counted by the same job. */
+    * (Update or Delete) for every partition that got a delete delta.
+    * Inserts never conflict, so a partition that got only a delta is not
+    * recorded. Returns the number of delete events, counted by the same job. */
   private def writeStatement(txn: Long, events: DataFrame, deletes: WriteKind.Value): Long = {
     val counted = Observation()
-    writeEvents(events.observe(counted, count(col(DeleteWriteIdCol)).as("n"))).foreach {
-      case (p, _: DeleteDeltaDir) => store.recordWriteSet(txn, name, p, deletes)
-      case (p, _)                 => store.recordWriteSet(txn, name, p, WriteKind.Insert)
-    }
+    writeEvents(events.observe(counted, count(col(DeleteWriteIdCol)).as("n")))
+      .collect { case (p, _: DeleteDeltaDir) => p }.foreach(store.recordWriteSet(txn, name, _, deletes))
     counted.get("n").asInstanceOf[Long]
   }
 

@@ -37,8 +37,6 @@ final class Catalog {
   def createTable(desc: TableDesc): Unit =
     require(tables.putIfAbsent(desc.name, desc).isEmpty, s"table already exists: ${desc.name}")
 
-  def dropTable(name: String): Unit = tables.remove(name): Unit
-
   def table(name: String): TableDesc =
     tables.getOrElse(name, throw new NoSuchElementException(s"no such table: $name"))
 

@@ -3,10 +3,14 @@ package repro.metastore
 import scala.collection.mutable
 
 /** Logical snapshot of the transaction state, taken by HS2 at query start
-  * (§3.2): the highest allocated TxnId (high watermark) plus the set of
-  * open and aborted transactions at or below it.
+  * (§3.2): the highest allocated TxnId (high watermark), the open and
+  * aborted transactions at or below it, and per table the [[WriteIdList]]
+  * they imply: the table's highest allocated WriteId and the WriteIds of
+  * the listed transactions, as Hive's `ValidTxnWriteIdList` records them.
+  * Its size is bounded by the live transactions and the tables written,
+  * not by the committed history.
   */
-final case class TxnList(highWatermark: Long, openOrAborted: Set[Long]) {
+final case class TxnList(highWatermark: Long, openOrAborted: Set[Long], tables: Map[String, WriteIdList]) {
   /** A transaction's effects are visible iff it is at or below the high
     * watermark and neither open nor aborted. */
   def isVisible(txnId: Long): Boolean =
@@ -60,101 +64,85 @@ final class TxnConflictException(msg: String) extends RuntimeException(msg)
   *
   * TxnIds are global and monotonically increasing; each txn maps to one
   * WriteId per table it writes, also monotonic but table-scoped. Commit uses
-  * optimistic first-commit-wins conflict resolution over (table, partition)
-  * write sets of updates/deletes.
+  * optimistic first-commit-wins conflict resolution over the (table,
+  * partition) pairs that updates and deletes wrote.
+  *
+  * Only live transactions have a record: an open one until it commits or
+  * aborts, an aborted one until compaction has forgotten all its writes
+  * ([[forgetAbortedWrites]]). Besides those records the store keeps one
+  * WriteId watermark per table and one commit sequence number per updated
+  * or deleted (table, partition); no state grows with committed
+  * transactions, so snapshots cost O(tables + live writes) and a commit
+  * O(its write set).
   */
 final class TxnStore {
+  import TxnStore.OpenTxn
 
   private var nextTxn = 0L
-  private val open = mutable.Set[Long]()
-  private val aborted = mutable.Set[Long]()
-  /** txn -> (table -> writeId) */
-  private val txnWriteIds = mutable.Map[Long, mutable.Map[String, Long]]()
-  /** table -> next write id */
-  private val nextWriteId = mutable.Map[String, Long]()
-  /** table -> all allocated writeIds and their owning txn. Entries persist
-    * after commit so any snapshot can decide visibility of any write; the
-    * compactor prunes aborted entries, and with the last of them the
-    * aborted txn itself, via [[forgetAbortedWrites]]. */
-  private val tableWrites = mutable.Map[String, mutable.Map[Long, Long]]() // writeId -> txnId
-  /** committed write sets: (table, partition, kind, commitSeq) */
-  private val committedWriteSets = mutable.ArrayBuffer[(String, String, WriteKind.Value, Long)]()
-  /** pending write sets of open txns: txn -> entries */
-  private val pendingWriteSets = mutable.Map[Long, mutable.ArrayBuffer[(String, String, WriteKind.Value)]]()
   private var commitSeq = 0L
-  /** commit sequence assigned when each txn began (for conflict windows). */
-  private val txnStartSeq = mutable.Map[Long, Long]()
+  /** table -> highest allocated WriteId */
+  private val lastWriteId = mutable.Map[String, Long]()
+  private val open = mutable.Map[Long, OpenTxn]()
+  /** aborted txn -> the WriteIds (table -> writeId) compaction has not yet
+    * forgotten */
+  private val aborted = mutable.Map[Long, mutable.Map[String, Long]]()
+  /** (table, partition) -> commit sequence number of its last committed
+    * update or delete */
+  private val lastUpdate = mutable.Map[(String, String), Long]()
 
   // ---- transaction lifecycle ----
 
   def openTxn(): Long = synchronized {
     nextTxn += 1
-    open += nextTxn
-    txnStartSeq(nextTxn) = commitSeq
+    open(nextTxn) = new OpenTxn(commitSeq)
     nextTxn
+  }
+
+  private def openRecord(txn: Long): OpenTxn = {
+    require(open.contains(txn), s"txn $txn is not open")
+    open(txn)
   }
 
   /** Allocates (or returns the already-allocated) WriteId of `txn` on `table`. */
   def allocateWriteId(txn: Long, table: String): Long = synchronized {
-    require(open.contains(txn), s"txn $txn is not open")
-    val perTable = txnWriteIds.getOrElseUpdate(txn, mutable.Map.empty)
-    perTable.getOrElseUpdate(table, {
-      val w = nextWriteId.getOrElse(table, 0L) + 1
-      nextWriteId(table) = w
-      tableWrites.getOrElseUpdate(table, mutable.Map.empty)(w) = txn
+    openRecord(txn).writeIds.getOrElseUpdate(table, {
+      val w = lastWriteId.getOrElse(table, 0L) + 1
+      lastWriteId(table) = w
       w
     })
   }
 
   /** Records a (table, partition) into the txn's write set for conflict
-    * detection; partition is "" for unpartitioned tables. */
+    * detection; partition is "" for unpartitioned tables. Inserts never
+    * conflict, so an Insert only checks that the txn is open. */
   def recordWriteSet(txn: Long, table: String, partition: String, kind: WriteKind.Value): Unit =
     synchronized {
-      require(open.contains(txn), s"txn $txn is not open")
-      pendingWriteSets.getOrElseUpdate(txn, mutable.ArrayBuffer.empty) += ((table, partition, kind))
+      val t = openRecord(txn)
+      if (kind != WriteKind.Insert) t.updated += ((table, partition))
     }
 
   /** Commits `txn`, applying first-commit-wins: if a concurrent transaction
     * already committed an update/delete to an overlapping (table, partition),
     * this transaction aborts with [[TxnConflictException]]. */
   def commit(txn: Long): Unit = synchronized {
-    require(open.contains(txn), s"txn $txn is not open")
-    val mine = pendingWriteSets.getOrElse(txn, mutable.ArrayBuffer.empty)
-    val conflictable = mine.filter(e => e._3 == WriteKind.Update || e._3 == WriteKind.Delete)
-    if (conflictable.nonEmpty) {
-      val startSeq = txnStartSeq(txn)
-      val clash = committedWriteSets.find { case (t, p, k, seq) =>
-        seq > startSeq &&
-          (k == WriteKind.Update || k == WriteKind.Delete) &&
-          conflictable.exists(e => e._1 == t && e._2 == p)
-      }
-      clash.foreach { case (t, p, _, _) =>
-        doAbort(txn)
-        throw new TxnConflictException(
-          s"txn $txn aborted: concurrent committed write to $t/$p (first commit wins)")
-      }
+    val t = openRecord(txn)
+    t.updated.find(lastUpdate.get(_).exists(_ > t.startSeq)).foreach { case (table, p) =>
+      doAbort(txn)
+      throw new TxnConflictException(
+        s"txn $txn aborted: concurrent committed write to $table/$p (first commit wins)")
     }
     commitSeq += 1
-    mine.foreach { case (t, p, k) => committedWriteSets += ((t, p, k, commitSeq)) }
+    t.updated.foreach(lastUpdate(_) = commitSeq)
     open -= txn
-    cleanupTxn(txn)
   }
 
   def abort(txn: Long): Unit = synchronized {
-    require(open.contains(txn), s"txn $txn is not open")
+    openRecord(txn)
     doAbort(txn)
   }
 
-  private def doAbort(txn: Long): Unit = {
-    open -= txn
-    aborted += txn
-    cleanupTxn(txn)
-  }
-
-  private def cleanupTxn(txn: Long): Unit = {
-    pendingWriteSets.remove(txn)
-    txnStartSeq.remove(txn)
-  }
+  private def doAbort(txn: Long): Unit =
+    aborted(txn) = open.remove(txn).get.writeIds
 
   def isOpen(txn: Long): Boolean = synchronized(open.contains(txn))
   def isAborted(txn: Long): Boolean = synchronized(aborted.contains(txn))
@@ -163,37 +151,44 @@ final class TxnStore {
 
   /** Global snapshot for Snapshot Isolation: taken once per query. */
   def txnList(): TxnList = synchronized {
-    TxnList(nextTxn, (open.toSet ++ aborted.toSet).filter(_ <= nextTxn))
+    val invalid = (open.valuesIterator.map(_.writeIds) ++ aborted.valuesIterator)
+      .flatten.toSeq.groupMap(_._1)(_._2)
+    TxnList(nextTxn, (open.keySet ++ aborted.keySet).toSet, lastWriteId.map { case (table, hwm) =>
+      table -> WriteIdList(table, hwm, invalid.getOrElse(table, Nil).toSet)
+    }.toMap)
   }
 
-  /** Per-table WriteId list derived from a transaction list (§3.2). A write
-    * is invalid iff its owning transaction is invisible under `txns` — this
-    * covers open, aborted, and late (allocated-after-snapshot) writes alike. */
-  def writeIdList(table: String, txns: TxnList): WriteIdList = synchronized {
-    val hwm = nextWriteId.getOrElse(table, 0L)
-    val invalid = tableWrites.getOrElse(table, mutable.Map.empty).collect {
-      case (w, t) if !txns.isVisible(t) => w
-    }.toSet
-    WriteIdList(table, hwm, invalid)
-  }
+  /** Per-table WriteId list of a transaction list (§3.2): the table's
+    * WriteId watermark when `txns` was taken, and the WriteIds of the open
+    * and aborted transactions it lists. A write allocated later lies above
+    * the watermark, so it stays invisible to `txns` whoever commits it. */
+  def writeIdList(table: String, txns: TxnList): WriteIdList =
+    txns.tables.getOrElse(table, WriteIdList(table, 0L, Set.empty))
 
   /** WriteIds on `table` that belong to still-open transactions. The
     * compactor must not fold anything at or above the lowest of these. */
   def openWrites(table: String): Set[Long] = synchronized {
-    tableWrites.getOrElse(table, mutable.Map.empty).collect {
-      case (w, t) if open.contains(t) => w
-    }.toSet
+    open.valuesIterator.flatMap(_.writeIds.get(table)).toSet
   }
 
   /** Forgets aborted writes at or below `upTo` on `table` after compaction
-    * physically removed their records, then every aborted transaction that
-    * no table's writes still reference: future snapshots and transaction
-    * lists shrink ("major compaction deletes history"). */
+    * physically removed their records, then every aborted transaction with
+    * no write left: future snapshots and transaction lists shrink ("major
+    * compaction deletes history"). */
   def forgetAbortedWrites(table: String, upTo: Long): Unit = synchronized {
-    tableWrites.get(table).foreach(_.filterInPlace { (w, t) =>
-      !(w <= upTo && aborted.contains(t))
-    })
-    val referenced = tableWrites.valuesIterator.flatMap(_.valuesIterator).filter(aborted.contains).toSet
-    aborted.filterInPlace(referenced.contains)
+    aborted.filterInPlace { (_, writeIds) =>
+      if (writeIds.get(table).exists(_ <= upTo)) writeIds -= table
+      writeIds.nonEmpty
+    }
+  }
+}
+
+object TxnStore {
+  /** An open transaction: the commit sequence number when it began, its
+    * WriteId per table, and the (table, partition) pairs it updated or
+    * deleted. */
+  private final class OpenTxn(val startSeq: Long) {
+    val writeIds = mutable.Map[String, Long]()
+    val updated = mutable.Set[(String, String)]()
   }
 }

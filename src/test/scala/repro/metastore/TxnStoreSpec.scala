@@ -1,8 +1,14 @@
 package repro.metastore
 
+import java.util.concurrent.{CyclicBarrier, TimeUnit}
+
+import scala.collection.mutable
+import scala.util.Random
+
 import org.scalatest.funsuite.AnyFunSuite
 
 class TxnStoreSpec extends AnyFunSuite {
+  import TxnStoreSpec._
 
   test("TxnIds are monotonically increasing") {
     val s = new TxnStore
@@ -193,5 +199,195 @@ class TxnStoreSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](s.abort(t))
     assertThrows[IllegalArgumentException](s.allocateWriteId(t, "t"))
     assertThrows[IllegalArgumentException](s.recordWriteSet(t, "t", "", WriteKind.Insert))
+  }
+
+  test("a seeded random history agrees with a model that keeps the whole history") {
+    val rnd = new Random(20)
+    val store = new TxnStore
+    val model = new HistoryModel
+    val tables = Seq("a", "b")
+    val parts = Seq("p0", "p1", "p2")
+    val kept = mutable.ArrayBuffer[(TxnList, Snap, Int)]()
+    val seen = mutable.Map[String, Int]().withDefaultValue(0)
+
+    def check(snap: TxnList, ms: Snap, what: String): Unit = {
+      assert(snap.highWatermark == ms.highWatermark, what)
+      assert(snap.openOrAborted == ms.listed, what)
+      for (table <- tables; w <- 1L to model.lastWriteId.getOrElse(table, 0L) + 1) {
+        assert(store.writeIdList(table, snap).isVisible(w) == model.visible(ms, table, w),
+          s"$what: $table WriteId $w")
+      }
+    }
+
+    for (step <- 1 to 2000) {
+      val open = model.open.toSeq.sorted
+      def anyOpen = open(rnd.nextInt(open.size))
+      rnd.nextInt(10) match {
+        case 0 | 1 if open.size < 4 =>
+          assert(store.openTxn() == model.openTxn())
+        case 2 if open.nonEmpty =>
+          val (txn, table) = (anyOpen, tables(rnd.nextInt(2)))
+          assert(store.allocateWriteId(txn, table) == model.allocate(txn, table), s"step $step")
+        case 3 | 4 if open.nonEmpty =>
+          val (txn, table, part) = (anyOpen, tables(rnd.nextInt(2)), parts(rnd.nextInt(3)))
+          val kind = WriteKind(rnd.nextInt(WriteKind.maxId))
+          store.recordWriteSet(txn, table, part, kind)
+          model.record(txn, table, part, kind)
+        case 5 if open.nonEmpty =>
+          val txn = anyOpen
+          val commits = model.commit(txn)
+          if (commits) { store.commit(txn); seen("commit") += 1 }
+          else { assertThrows[TxnConflictException](store.commit(txn)); seen("conflict") += 1 }
+          assert(store.isAborted(txn) == !commits, s"step $step")
+        case 6 if open.nonEmpty =>
+          val txn = anyOpen
+          store.abort(txn); model.abort(txn)
+          seen("abort") += 1
+        case 7 =>
+          val table = tables(rnd.nextInt(2))
+          val upTo = rnd.nextInt(model.lastWriteId.getOrElse(table, 0L).toInt + 2).toLong
+          store.forgetAbortedWrites(table, upTo); model.forget(table, upTo)
+          seen("forget") += 1
+        case 8 =>
+          val taken = (store.txnList(), model.snapshot(), step)
+          if (kept.size < 8) kept += taken else kept(rnd.nextInt(8)) = taken
+        case _ if kept.nonEmpty =>
+          val (snap, ms, at) = kept(rnd.nextInt(kept.size))
+          check(snap, ms, s"step $step, snapshot of step $at")
+          seen("age") = seen("age") max (step - at)
+        case _ =>
+      }
+      check(store.txnList(), model.snapshot(), s"step $step, fresh snapshot")
+      for (table <- tables)
+        assert(store.openWrites(table) == model.open.flatMap(model.writeIds(_).get(table)), s"step $step")
+    }
+    assert(seen("commit") > 100 && seen("conflict") > 10 && seen("abort") > 10 && seen("forget") > 50, seen)
+    assert(seen("age") > 200, "no snapshot was queried long after it was taken")
+  }
+
+  test("lost updates never commit: four threads increment counters through first-commit-wins") {
+    val store = new TxnStore
+    val (threads, rounds, parts) = (4, 200, 3)
+    val counters = Array.fill(parts)(0L)
+    val committed = Array.fill(parts)(0L)
+    val lock = new Object
+    // all four read before any commits, and a round opens only after the
+    // last one committed: each round of each partition has one winner
+    val read = new CyclicBarrier(threads)
+    val written = new CyclicBarrier(threads)
+    val choice = Array.tabulate(threads) { i =>
+      val rnd = new Random(100 + i)
+      Array.fill(rounds)(rnd.nextInt(parts))
+    }
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]()
+    val workers = (0 until threads).map { i =>
+      new Thread(() =>
+        try {
+          for (r <- 0 until rounds) {
+            val p = choice(i)(r)
+            val (txn, seen) = lock.synchronized { val t = store.openTxn(); (t, counters(p)) }
+            store.recordWriteSet(txn, "t", s"p$p", WriteKind.Update)
+            store.allocateWriteId(txn, "t")
+            read.await(30, TimeUnit.SECONDS)
+            lock.synchronized {
+              try { store.commit(txn); counters(p) = seen + 1; committed(p) += 1 }
+              catch { case _: TxnConflictException => }
+            }
+            written.await(30, TimeUnit.SECONDS)
+          }
+        } catch { case e: Throwable => failures.add(e); read.reset(); written.reset() })
+    }
+    workers.foreach(_.start()); workers.foreach(_.join())
+    assert(failures.isEmpty, failures)
+    assert(counters.toSeq == committed.toSeq, "a lost update committed")
+    val winners = (0 until rounds).map(r => (0 until threads).map(choice(_)(r)).distinct.size).sum
+    assert(committed.sum == winners, "a commit was refused without a concurrent update")
+    store.forgetAbortedWrites("t", Long.MaxValue)
+    val after = store.txnList()
+    assert(after.openOrAborted.isEmpty && store.writeIdList("t", after).invalid.isEmpty,
+      "committed and forgotten transactions left state behind")
+  }
+}
+
+private object TxnStoreSpec {
+  sealed trait Fate
+  case object Open extends Fate
+  case object Committed extends Fate
+  case object Aborted extends Fate
+
+  /** What a snapshot of the model froze: the fates, each table's highest
+    * WriteId and the aborted WriteIds already forgotten. */
+  final case class Snap(
+      highWatermark: Long, listed: Set[Long], fates: Map[Long, Fate],
+      lastWriteId: Map[String, Long], forgotten: Set[(String, Long)])
+
+  /** The store as Snapshot Isolation defines it, over the whole history:
+    * every WriteId's owner, every transaction's fate and every committed
+    * write set, scanned in full. */
+  final class HistoryModel {
+    var nextTxn = 0L
+    private var commitSeq = 0L
+    val fate = mutable.Map[Long, Fate]()
+    private val startSeq = mutable.Map[Long, Long]()
+    val writeIds = mutable.Map[Long, mutable.Map[String, Long]]()
+    val owner = mutable.Map[(String, Long), Long]()
+    val lastWriteId = mutable.Map[String, Long]()
+    private val updated = mutable.Map[Long, mutable.Set[(String, String)]]()
+    private val committedWrites = mutable.ArrayBuffer[(String, String, Long)]()
+    private val forgotten = mutable.Set[(String, Long)]()
+    /** aborted txns still listed: dropped by the first forget after the
+      * last of their writes is forgotten */
+    private val listedAborted = mutable.Set[Long]()
+
+    def open: Set[Long] = fate.collect { case (t, Open) => t }.toSet
+    def listed: Set[Long] = open ++ listedAborted
+
+    def openTxn(): Long = {
+      nextTxn += 1
+      fate(nextTxn) = Open; startSeq(nextTxn) = commitSeq
+      writeIds(nextTxn) = mutable.Map.empty; updated(nextTxn) = mutable.Set.empty
+      nextTxn
+    }
+
+    def allocate(txn: Long, table: String): Long = writeIds(txn).getOrElseUpdate(table, {
+      val w = lastWriteId.getOrElse(table, 0L) + 1
+      lastWriteId(table) = w; owner((table, w)) = txn
+      w
+    })
+
+    def record(txn: Long, table: String, partition: String, kind: WriteKind.Value): Unit =
+      if (kind != WriteKind.Insert) updated(txn) += ((table, partition))
+
+    /** True when the commit goes through, false when it conflicts. */
+    def commit(txn: Long): Boolean = {
+      val clash = committedWrites.exists { case (t, p, seq) =>
+        seq > startSeq(txn) && updated(txn)((t, p))
+      }
+      if (clash) abort(txn)
+      else {
+        commitSeq += 1
+        updated(txn).foreach { case (t, p) => committedWrites += ((t, p, commitSeq)) }
+        fate(txn) = Committed
+      }
+      !clash
+    }
+
+    def abort(txn: Long): Unit = { fate(txn) = Aborted; listedAborted += txn }
+
+    def forget(table: String, upTo: Long): Unit = {
+      forgotten ++= owner.iterator.collect {
+        case ((`table`, w), t) if w <= upTo && fate(t) == Aborted => (table, w)
+      }
+      listedAborted.filterInPlace(t => writeIds(t).exists(e => !forgotten(e)))
+    }
+
+    def snapshot(): Snap = Snap(nextTxn, listed, fate.toMap, lastWriteId.toMap, forgotten.toSet)
+
+    /** A WriteId is visible to a snapshot when it was allocated before the
+      * snapshot by a transaction that had committed, or it is an aborted
+      * write compaction had already forgotten. */
+    def visible(s: Snap, table: String, w: Long): Boolean =
+      w <= s.lastWriteId.getOrElse(table, 0L) &&
+        (s.fates(owner((table, w))) == Committed || s.forgotten((table, w)))
   }
 }
