@@ -15,8 +15,8 @@
 #                         which are also printed to stderr.
 #
 # Each file is a JSON list with one record per source state. A record names
-# the git sha of HEAD (suffixed "-dirty" when src/, bench/ or jobs/ differ
-# from it) and `src_tree`, the git tree id of src/ as it is on disk, which
+# the git sha of HEAD (suffixed "-dirty" when src/ or bench/ differ from
+# it) and `src_tree`, the git tree id of src/ as it is on disk, which
 # equals `git rev-parse <commit>:src` of the commit that holds these sources.
 # A new record replaces an earlier one with the same sha and src_tree.
 # The script only runs perfbench/; it changes nothing under it.
@@ -45,7 +45,7 @@ def git(*args, env=None):
 
 def identity():
     head = git("rev-parse", "--short", "HEAD")
-    dirty = git("status", "--porcelain", "--", "src", "bench", "jobs") != ""
+    dirty = git("status", "--porcelain", "--", "src", "bench") != ""
     # tree id of src/ on disk, written through a scratch index
     with tempfile.TemporaryDirectory() as d:
         env = dict(os.environ, GIT_INDEX_FILE=os.path.join(d, "index"))

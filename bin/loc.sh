@@ -19,7 +19,7 @@ for p in $pkgs; do
   total=$((total + n))
 done
 if [ $# -eq 0 ]; then
-  n=$(cat ./*.scala | wc -l)
+  n=$(find . -maxdepth 1 -name '*.scala' -exec cat {} + | wc -l)
   printf '%-18s %6d\n' repro "$n"
   total=$((total + n))
   n=$(find ../org/apache/spark/sql/repro -name '*.scala' -exec cat {} + | wc -l)

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Lists the main code that nothing else refers to, in two sections. Both
-# search the code lines of the .scala files under src/main/scala, bench/,
-# jobs/ and perfbench/src for a name as a word. Comment lines (starting with
+# search the code lines of the .scala files under src/main/scala, bench/
+# and perfbench/src for a name as a word. Comment lines (starting with
 # //, /* or *) do not count as references, and neither do tests, so a name
 # printed here is reached by its own suite only. Names that refer only to
 # each other are not caught.
@@ -21,13 +21,11 @@
 # does not list used ones. Each line gives the declaration's file and line
 # and Owner.member.
 #
-# Report-only: always exits 0. `Oracle` is listed by design: it is the
-# tests' DuckDB reference, kept in the main code so that every suite can use
-# it.
+# Report-only: always exits 0.
 #
 #   bin/spec-only.sh
 cd "$(dirname "$0")/.."
-mapfile -t scope < <(find src/main/scala bench jobs perfbench/src -name '*.scala' 2>/dev/null | sort)
+mapfile -t scope < <(find src/main/scala bench perfbench/src -name '*.scala' 2>/dev/null | sort)
 mods='^((final|sealed|abstract|case|implicit|private|protected)(\[[A-Za-z_.]+\])? +)*(class|object|trait) +'
 comment='^[[:space:]]*(//|/\*|\*)'
 echo "Top-level declarations that nothing else names:"

@@ -181,12 +181,6 @@ final class AcidTable(val catalog: Catalog, val name: String) {
     snapshotScan(snap, storeDirs().flatMap(visibleDirs(_, snap))).select(cols.map(col): _*)
   }
 
-  /** Convenience: read under a freshly acquired snapshot. */
-  def readCurrent()(implicit spark: SparkSession): DataFrame = read(currentSnapshot())
-
-  /** Number of partition directories that currently exist on disk. */
-  def partitionDirCount: Int = listPartitionDirs(root).size
-
   /** Store directories: the table root for unpartitioned tables, otherwise
     * the partition directories. */
   private[acid] def storeDirs(): Seq[File] =

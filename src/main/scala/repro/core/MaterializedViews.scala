@@ -3,7 +3,9 @@ package repro.core
 import scala.collection.concurrent.TrieMap
 
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.{LogicalPlan, SubqueryAlias}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.repro.PlanUtils
 
 /** A registered materialized view: its SPJA definition and the temp view
   * holding the materialized contents ("just semantically enriched tables"). */
@@ -35,17 +37,17 @@ final class MvCatalog(spark: SparkSession) {
   def sourceNames: Set[String] = sources.keySet.toSet
 
   /** CREATE MATERIALIZED VIEW name AS sql — materializes the contents into
-    * a cached temp view and registers the SPJA definition for rewriting. */
+    * a cached temp view and registers the SPJA definition for rewriting.
+    * Creating a view again is its full REBUILD. The old contents are
+    * uncached first: replacing a temp view leaves the contents it held
+    * cached, and a plan equal to theirs would read them back. */
   def createMaterializedView(name: String, sql: String): MaterializedView = {
+    drop(name)
     val df = spark.sql(sql)
-    val q = Spja.extract(df.queryExecution.analyzed, sourceNames).getOrElse(
-      throw new IllegalArgumentException(
-        s"materialized view $name is not a supported SPJA expression"))
-    df.cache().createOrReplaceTempView(name)
+    df.cache().createTempView(name)
     df.count() // force materialization
-    val mv = MaterializedView(name, q, sql)
-    views.put(name, mv)
-    mv
+    try registerExternalMaterializedView(name, sql)
+    catch { case e: IllegalArgumentException => drop(name); throw e }
   }
 
   /** Registers an MV whose contents are stored in an *external* system
@@ -61,15 +63,6 @@ final class MvCatalog(spark: SparkSession) {
     val mv = MaterializedView(name, q, sql)
     views.put(name, mv)
     mv
-  }
-
-  /** Full rebuild (REBUILD statement): rerun the definition. */
-  def rebuildFull(name: String): Unit = {
-    val mv = views.getOrElse(name, throw new NoSuchElementException(s"no such MV: $name"))
-    spark.catalog.dropTempView(name)
-    val df = spark.sql(mv.sql)
-    df.cache().createOrReplaceTempView(name)
-    df.count(): Unit
   }
 
   def drop(name: String): Unit = {
@@ -103,29 +96,24 @@ object MvRewriter {
     val peeled = Spja.peel(df.queryExecution.analyzed)
     val q = Spja.extract(peeled.core, catalog.sourceNames).getOrElse(return None)
     val candidates = catalog.list
-    candidates.flatMap(v => tryFull(spark, q, v, Some(catalog))
+    candidates.flatMap(v => tryFull(spark, q, v, catalog)
         .map(d => Rewrite(peeled.reapply(d), v.name, FullContainment)))
       .headOption
-      .orElse(candidates.flatMap(v => tryPartial(spark, q, v)
+      .orElse(candidates.flatMap(v => tryPartial(spark, q, peeled.core, v, catalog)
         .map(d => Rewrite(peeled.reapply(d), v.name, PartialContainment))).headOption)
   }
 
   // ------------------------------------------------------------------ full
 
-  private[core] def tryFull(spark: SparkSession, q: SpjaQuery, v: MaterializedView,
-                            catalog: Option[MvCatalog] = None): Option[DataFrame] = {
+  private def tryFull(spark: SparkSession, q: SpjaQuery, v: MaterializedView,
+                      catalog: MvCatalog): Option[DataFrame] = {
     val vq = v.query
     if (q.isAggregate && q.aggs.isEmpty) return None // GROUP BY without aggregates
-    // Exact table/join match, or — with constraint information — the view
-    // may join additional key-preserving dimensions the query does not use.
-    if (q.tables != vq.tables || q.joins != vq.joins) {
-      val extraOk = catalog.exists { c =>
-        q.tables.subsetOf(vq.tables) &&
-          (vq.tables -- q.tables).forall(c.isKeyPreservingDimension) &&
-          q.joins.subsetOf(vq.joins)
-      }
-      if (!extraOk) return None
-    }
+    // The view joins the query's tables along the query's joins; with
+    // constraint information it may also join key-preserving dimensions
+    // the query does not use.
+    if (!q.tables.subsetOf(vq.tables) || !q.joins.subsetOf(vq.joins) ||
+        !(vq.tables -- q.tables).forall(catalog.isKeyPreservingDimension)) return None
     val (qD, vD) = (q.doms, vq.doms)
 
     // every view constraint must be implied by the query
@@ -195,8 +183,9 @@ object MvRewriter {
 
   // --------------------------------------------------------------- partial
 
-  private[core] def tryPartial(spark: SparkSession, q: SpjaQuery,
-                               v: MaterializedView): Option[DataFrame] = {
+  /** `core` is the analyzed plan `q` was extracted from. */
+  private def tryPartial(spark: SparkSession, q: SpjaQuery, core: LogicalPlan,
+                         v: MaterializedView, catalog: MvCatalog): Option[DataFrame] = {
     val vq = v.query
     if (q.tables != vq.tables || q.joins != vq.joins) return None
     val (qD, vD) = (q.doms, vq.doms)
@@ -216,25 +205,22 @@ object MvRewriter {
     if (missing.isEmpty) return None
 
     // MV part: query restricted to the view's region on the split column
-    val part1 = tryFull(spark, q.copy(doms = qD.updated(c, qd.intersect(vd))), v).getOrElse(return None)
+    val part1 = tryFull(spark, q.copy(doms = qD.updated(c, qd.intersect(vd))), v, catalog)
+      .getOrElse(return None)
 
-    // source part: recompute the missing region(s) from the source tables
+    // source part: the query's own plan with the source table that holds
+    // the split column restricted to the missing region(s); its joins,
+    // aggregate and projection stay as they are
+    val leaf = core.collectFirst {
+      case s: SubqueryAlias
+          if catalog.sourceNames(s.identifier.name) && s.output.exists(_.name == c) => s
+    }.getOrElse(return None)
     val missingFilter = missing.map(_.toColumn(c)).reduce(_ || _)
-    val part2 = buildFromSources(spark, q, qD, missingFilter).getOrElse(return None)
+    val slice = PlanUtils.ofRows(spark, leaf).filter(missingFilter).queryExecution.analyzed
+    val part2 = PlanUtils.ofRows(spark, core.transformUp { case s if s eq leaf => slice })
 
     // combine (Figure 4c): UNION ALL then re-aggregate
     val unioned = part1.unionByName(part2)
     Some(if (q.isAggregate) q.reaggregate(unioned) else unioned)
-  }
-
-  /** Rebuilds the query directly over its source tables with an extra
-    * filter — used for the non-covered slice of a partial rewrite. */
-  private def buildFromSources(spark: SparkSession, q: SpjaQuery, qD: Map[String, Dom],
-                               extra: Column): Option[DataFrame] = {
-    val joined = JoinReorder.build(spark, q, q.tables.toSeq.sorted).getOrElse(return None)
-    val filtered = qD.foldLeft(joined.filter(extra)) { case (d, (c, dom)) =>
-      d.filter(dom.toColumn(c))
-    }
-    Some(evaluate(filtered, q))
   }
 }

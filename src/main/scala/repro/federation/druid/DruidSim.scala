@@ -150,7 +150,6 @@ final class DruidSim {
   }
 
   def schemaOf(name: String): StructType = ds(name).schema
-  def segmentCount(name: String): Int = ds(name).segments.size
 
   private def ds(name: String): DataSource =
     dataSources.getOrElse(name, throw new NoSuchElementException(s"no such datasource: $name"))

@@ -10,12 +10,7 @@ import scala.collection.mutable
   * Its size is bounded by the live transactions and the tables written,
   * not by the committed history.
   */
-final case class TxnList(highWatermark: Long, openOrAborted: Set[Long], tables: Map[String, WriteIdList]) {
-  /** A transaction's effects are visible iff it is at or below the high
-    * watermark and neither open nor aborted. */
-  def isVisible(txnId: Long): Boolean =
-    txnId <= highWatermark && !openOrAborted.contains(txnId)
-}
+final case class TxnList(highWatermark: Long, openOrAborted: Set[Long], tables: Map[String, WriteIdList])
 
 /** Per-table projection of a [[TxnList]] onto WriteIds. Readers bind one of
   * these to every scan at compile time and skip records whose WriteId is
@@ -27,9 +22,6 @@ final case class TxnList(highWatermark: Long, openOrAborted: Set[Long], tables: 
   */
 final case class WriteIdList(table: String, highWatermark: Long, invalid: Set[Long]) {
   import RangeVisibility._
-
-  def isVisible(writeId: Long): Boolean =
-    writeId <= highWatermark && !invalid.contains(writeId)
 
   /** How much of the WriteId range [lo, hi] this snapshot sees, as Hive's
     * `ValidWriteIdList.isWriteIdRangeValid` answers it per directory:
@@ -145,7 +137,6 @@ final class TxnStore {
     aborted(txn) = open.remove(txn).get.writeIds
 
   def isOpen(txn: Long): Boolean = synchronized(open.contains(txn))
-  def isAborted(txn: Long): Boolean = synchronized(aborted.contains(txn))
 
   // ---- snapshots ----
 

@@ -111,7 +111,4 @@ object SsbQueries {
         |GROUP BY d_year, s_city, p_brand1
         |ORDER BY d_year, s_city, p_brand1""".stripMargin),
   )
-
-  def byId(id: String): SsbQuery = all.find(_.id == id).getOrElse(
-    throw new NoSuchElementException(s"no such query: $id"))
 }

@@ -14,9 +14,6 @@ import org.apache.spark.sql.functions._
   */
 object TpcDsLite {
 
-  val Tables: Seq[String] =
-    Seq("store_sales", "store_returns", "date_dim", "item", "customer", "store")
-
   private def n(base: Long, sf: Double): Long = math.max(100L, (base * sf).toLong)
 
   def storeSales(spark: SparkSession, sf: Double): DataFrame = {

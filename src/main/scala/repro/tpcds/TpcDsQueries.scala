@@ -149,6 +149,4 @@ object TpcDsQueries {
   )
 
   def v12Supported: Seq[DsQuery] = all.filter(_.supportedInV12)
-  def byId(id: String): DsQuery = all.find(_.id == id).getOrElse(
-    throw new NoSuchElementException(s"no such query: $id"))
 }

@@ -42,6 +42,11 @@ trait AcidFixture { self: SparkSpec =>
     rows.toDF("k", "v", "tag")
   }
 
+  implicit class CurrentRead(t: AcidTable) {
+    /** Reads under a freshly acquired snapshot. */
+    def readCurrent(): DataFrame = t.read(t.currentSnapshot())
+  }
+
   def collectKv(df: DataFrame): Set[(Long, Double)] =
     df.select("k", "v").collect().map(r => (r.getLong(0), r.getDouble(1))).toSet
 
@@ -374,7 +379,7 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture with AdaptiveSparkP
     val txn = c.txns.openTxn()
     t.insert(txn, pRows(Seq((1L, 1.0, 10), (2L, 2.0, 10), (3L, 3.0, 20))))
     c.txns.commit(txn)
-    assert(t.partitionDirCount == 2)
+    assert(t.storeDirs().size == 2)
   }
 
   test("partitioned read restores the partition column with its type") {
@@ -414,7 +419,7 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture with AdaptiveSparkP
     val t2 = c.txns.openTxn()
     t.delete(t2, col("k") % 7 === 0)
     c.txns.commit(t2)
-    assert(t.partitionDirCount == 10)
+    assert(t.storeDirs().size == 10)
 
     // Spark's dynamic pruning needs the filtered side broadcast and a
     // selective filter it can see: a file-backed dimension, not a local one
@@ -563,6 +568,6 @@ class AcidPartitionedSpec extends SparkSpec with AcidFixture with AdaptiveSparkP
   }
 
   private def collectP(t: AcidTable): Set[(Long, Double, Int)] =
-    t.readCurrent()(sp).select("k", "v", "p").collect()
+    t.readCurrent().select("k", "v", "p").collect()
       .map(r => (r.getLong(0), r.getDouble(1), r.getInt(2))).toSet
 }

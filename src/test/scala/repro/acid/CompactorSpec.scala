@@ -79,11 +79,23 @@ class CompactorSpec extends SparkSpec with AcidFixture {
     assert(collectKv(t.readCurrent()).exists(_._1 == 5555L))
   }
 
-  test("reads remain correct straight after compaction for a pre-compaction snapshot") {
+  test("major compaction keeps a snapshot at its horizon readable") {
     val (c, t) = seedInserts("t_snap_compat", 3)
     val snap = t.currentSnapshot()
     new Compactor(t).majorCompact()
     assert(t.read(snap).count() == 60, "old snapshot broken by compaction")
+  }
+
+  test("minor compaction keeps an older snapshot readable") {
+    val (c, t) = seedInserts("t_snap_minor", 3)
+    val snap = t.currentSnapshot()
+    val txn = c.txns.openTxn()
+    t.insert(txn, rowsDf((1L to 20L).map(i => (4000 + i, i.toDouble, "b4"))))
+    c.txns.commit(txn)
+    new Compactor(t).minorCompact()
+    // the merged delta is partly visible to the snapshot, so its rows are
+    // filtered by WriteId
+    assert(t.read(snap).count() == 60, "old snapshot broken by minor compaction")
   }
 
   test("shouldCompact triggers on the delta-count threshold") {

@@ -209,6 +209,17 @@ class MvRewriteSpec extends SparkSpec with StarFixture {
     c2.drop("mv_big")
   }
 
+  test("creating a view again uncaches the contents it replaces") {
+    val c2 = starCatalog()
+    c2.createMaterializedView("mv_again",
+      "SELECT d_year, COUNT(*) AS cnt FROM date_dim GROUP BY d_year")
+    val cached = spark.sparkContext.getPersistentRDDs.size
+    c2.createMaterializedView("mv_again",
+      "SELECT d_year, MAX(d_moy) AS m FROM date_dim GROUP BY d_year")
+    assert(spark.sparkContext.getPersistentRDDs.size == cached, "the old contents stay cached")
+    c2.drop("mv_again")
+  }
+
   test("stale MV detection: rebuild refreshes contents") {
     val c2 = starCatalog()
     storeSales.limit(1000).createOrReplaceTempView("ss_small")
@@ -218,7 +229,8 @@ class MvRewriteSpec extends SparkSpec with StarFixture {
     val before = spark.table("mv_small").count()
     // source changes underneath
     storeSales.limit(2000).createOrReplaceTempView("ss_small")
-    c2.rebuildFull("mv_small")
+    c2.createMaterializedView("mv_small",
+      "SELECT ss_item_sk, SUM(ss_sales_price) AS s FROM ss_small GROUP BY ss_item_sk")
     val after = spark.table("mv_small").agg(org.apache.spark.sql.functions.sum("s")).collect()(0).getDouble(0)
     val expected = spark.table("ss_small")
       .agg(org.apache.spark.sql.functions.sum("ss_sales_price")).collect()(0).getDouble(0)

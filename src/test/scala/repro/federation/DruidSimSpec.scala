@@ -20,7 +20,8 @@ class DruidSimSpec extends SparkSpec {
   }
 
   test("ingestion partitions into segments along the key") {
-    assert(sim.segmentCount("events") == 10)
+    sim.execute(DruidQuery("scan", "events"))
+    assert(sim.lastSegmentsScanned == 10 && sim.lastSegmentsPruned == 0)
     assert(sim.schemaOf("events").fieldNames.toSeq == Seq("__time", "d1", "m1"))
   }
 

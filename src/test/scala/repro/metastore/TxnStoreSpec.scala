@@ -42,13 +42,13 @@ class TxnStoreSpec extends AnyFunSuite {
     val t1 = s.openTxn(); s.commit(t1)
     val t2 = s.openTxn()
     val snap = s.txnList()
-    assert(snap.isVisible(t1) && !snap.isVisible(t2))
+    assert(isVisible(snap, t1) && !isVisible(snap, t2))
   }
 
   test("snapshot excludes aborted transactions") {
     val s = new TxnStore
     val t1 = s.openTxn(); s.abort(t1)
-    assert(!s.txnList().isVisible(t1))
+    assert(!isVisible(s.txnList(), t1))
   }
 
   test("txns above the high watermark are invisible") {
@@ -56,7 +56,7 @@ class TxnStoreSpec extends AnyFunSuite {
     val t1 = s.openTxn(); s.commit(t1)
     val snap = s.txnList()
     val t2 = s.openTxn(); s.commit(t2)
-    assert(!snap.isVisible(t2), "txn opened after snapshot must stay invisible")
+    assert(!isVisible(snap, t2), "txn opened after snapshot must stay invisible")
   }
 
   test("writeIdList projects invisible txns to invalid WriteIds") {
@@ -65,8 +65,8 @@ class TxnStoreSpec extends AnyFunSuite {
     val t2 = s.openTxn(); val w2 = s.allocateWriteId(t2, "t") // open
     val t3 = s.openTxn(); val w3 = s.allocateWriteId(t3, "t"); s.abort(t3)
     val wl = s.writeIdList("t", s.txnList())
-    assert(wl.isVisible(1L))
-    assert(!wl.isVisible(w2) && !wl.isVisible(w3))
+    assert(sees(wl, 1L))
+    assert(!sees(wl, w2) && !sees(wl, w3))
   }
 
   test("a write committed after the snapshot stays invisible to that snapshot") {
@@ -74,7 +74,7 @@ class TxnStoreSpec extends AnyFunSuite {
     val snap = s.txnList()
     val t = s.openTxn(); val w = s.allocateWriteId(t, "t"); s.commit(t)
     val wl = s.writeIdList("t", snap)
-    assert(!wl.isVisible(w), "late-committed write leaked into an older snapshot")
+    assert(!sees(wl, w), "late-committed write leaked into an older snapshot")
   }
 
   test("rangeVisibility answers ALL, SOME or NONE per WriteId range") {
@@ -111,7 +111,7 @@ class TxnStoreSpec extends AnyFunSuite {
       val snap = WriteIdList("t", hwm, (1L to hwm).filter(_ => rnd.nextInt(3) == 0).toSet)
       val lo = 1L + rnd.nextInt(14)
       val hi = lo + rnd.nextInt(5)
-      val seen = (lo to hi).map(snap.isVisible)
+      val seen = (lo to hi).map(isVisible(snap, _))
       val expected = if (seen.forall(identity)) AllVisible else if (seen.exists(identity)) SomeVisible else NoneVisible
       assert(snap.rangeVisibility(lo, hi) == expected, s"$snap [$lo, $hi]")
     }
@@ -120,7 +120,7 @@ class TxnStoreSpec extends AnyFunSuite {
   test("commit makes writes visible to later snapshots") {
     val s = new TxnStore
     val t = s.openTxn(); val w = s.allocateWriteId(t, "t"); s.commit(t)
-    assert(s.writeIdList("t", s.txnList()).isVisible(w))
+    assert(sees(s.writeIdList("t", s.txnList()), w))
   }
 
   test("first-commit-wins: second concurrent updater aborts") {
@@ -130,7 +130,7 @@ class TxnStoreSpec extends AnyFunSuite {
     s.recordWriteSet(t2, "t", "p1", WriteKind.Update)
     s.commit(t1)
     assertThrows[TxnConflictException](s.commit(t2))
-    assert(s.isAborted(t2))
+    assert(isAborted(s, t2))
   }
 
   test("concurrent updates to different partitions do not conflict") {
@@ -139,7 +139,7 @@ class TxnStoreSpec extends AnyFunSuite {
     s.recordWriteSet(t1, "t", "p1", WriteKind.Update)
     s.recordWriteSet(t2, "t", "p2", WriteKind.Update)
     s.commit(t1); s.commit(t2)
-    assert(!s.isAborted(t2))
+    assert(!isAborted(s, t2))
   }
 
   test("inserts never conflict") {
@@ -171,7 +171,7 @@ class TxnStoreSpec extends AnyFunSuite {
   test("forgetAbortedWrites shrinks the invalid set (compaction history purge)") {
     val s = new TxnStore
     val t1 = s.openTxn(); val w1 = s.allocateWriteId(t1, "t"); s.abort(t1)
-    assert(!s.writeIdList("t", s.txnList()).isVisible(w1))
+    assert(!sees(s.writeIdList("t", s.txnList()), w1))
     s.forgetAbortedWrites("t", w1)
     // after the compactor physically removed the aborted rows, the write id
     // no longer needs to be carried in snapshots
@@ -186,7 +186,7 @@ class TxnStoreSpec extends AnyFunSuite {
     s.forgetAbortedWrites("a", wa)
     assert(s.writeIdList("a", s.txnList()).invalid.isEmpty)
     assert(s.txnList().openOrAborted.contains(t2), "table b still holds an aborted write of t2")
-    assert(!s.writeIdList("b", s.txnList()).isVisible(wb))
+    assert(!sees(s.writeIdList("b", s.txnList()), wb))
     s.forgetAbortedWrites("b", wb)
     assert(!s.txnList().openOrAborted.contains(t2))
     assert(s.writeIdList("b", s.txnList()).invalid.isEmpty)
@@ -214,7 +214,7 @@ class TxnStoreSpec extends AnyFunSuite {
       assert(snap.highWatermark == ms.highWatermark, what)
       assert(snap.openOrAborted == ms.listed, what)
       for (table <- tables; w <- 1L to model.lastWriteId.getOrElse(table, 0L) + 1) {
-        assert(store.writeIdList(table, snap).isVisible(w) == model.visible(ms, table, w),
+        assert(sees(store.writeIdList(table, snap), w) == model.visible(ms, table, w),
           s"$what: $table WriteId $w")
       }
     }
@@ -238,7 +238,7 @@ class TxnStoreSpec extends AnyFunSuite {
           val commits = model.commit(txn)
           if (commits) { store.commit(txn); seen("commit") += 1 }
           else { assertThrows[TxnConflictException](store.commit(txn)); seen("conflict") += 1 }
-          assert(store.isAborted(txn) == !commits, s"step $step")
+          assert(isAborted(store, txn) == !commits, s"step $step")
         case 6 if open.nonEmpty =>
           val txn = anyOpen
           store.abort(txn); model.abort(txn)
@@ -310,6 +310,23 @@ class TxnStoreSpec extends AnyFunSuite {
 }
 
 private object TxnStoreSpec {
+  /** The scalar visibility rule, the reference `rangeVisibility` is checked
+    * against: an id is seen iff it is at or below the watermark and not
+    * listed as open or aborted. */
+  def isVisible(snap: TxnList, txn: Long): Boolean =
+    txn <= snap.highWatermark && !snap.openOrAborted.contains(txn)
+  def isVisible(snap: WriteIdList, w: Long): Boolean =
+    w <= snap.highWatermark && !snap.invalid.contains(w)
+
+  /** Whether `snap` sees write `w`, by the program's one rule. */
+  def sees(snap: WriteIdList, w: Long): Boolean =
+    snap.rangeVisibility(w, w) == RangeVisibility.AllVisible
+
+  /** An aborted transaction is listed in every new snapshot but no longer
+    * open (until compaction forgets its last write). */
+  def isAborted(s: TxnStore, txn: Long): Boolean =
+    !s.isOpen(txn) && s.txnList().openOrAborted.contains(txn)
+
   sealed trait Fate
   case object Open extends Fate
   case object Committed extends Fate

@@ -37,7 +37,7 @@ class SsbLiteSpec extends SparkSpec {
   test("Q1.1 matches DuckDB") {
     SsbLite.registerViews(spark, sf)
     Oracle.assertEquivalent(
-      spark.sql(SsbQueries.byId("Q1.1").sql),
+      spark.sql(SsbQueries.all.find(_.id == "Q1.1").get.sql),
       """SELECT SUM(lo_revenue::DOUBLE) AS revenue
         |FROM lineorder, date
         |WHERE lo_orderdate = d_datekey AND d_year::INT = 1993
@@ -50,7 +50,7 @@ class SsbLiteSpec extends SparkSpec {
   test("Q2.1 matches DuckDB") {
     SsbLite.registerViews(spark, sf)
     Oracle.assertEquivalent(
-      spark.sql(SsbQueries.byId("Q2.1").sql),
+      spark.sql(SsbQueries.all.find(_.id == "Q2.1").get.sql),
       """SELECT d_year::INT AS d_year, p_brand1, SUM(lo_revenue::DOUBLE) AS revenue
         |FROM lineorder, date, part, supplier
         |WHERE lo_orderdate = d_datekey AND lo_partkey = p_partkey

@@ -9,9 +9,11 @@ class TpcDsLiteSpec extends SparkSpec {
 
   private val sf = 0.01
 
+  private def sqlOf(id: String): String = TpcDsQueries.all.find(_.id == id).get.sql
+
   test("generator produces all six tables with sane sizes") {
     val t = TpcDsLite.all(spark, sf)
-    assert(t.keySet == TpcDsLite.Tables.toSet)
+    assert(t.keySet == Set("store_sales", "store_returns", "date_dim", "item", "customer", "store"))
     assert(t("store_sales").count() == 6000)
     assert(t("date_dim").count() == 1461)
     assert(t("store").count() == 10)
@@ -59,7 +61,7 @@ class TpcDsLiteSpec extends SparkSpec {
   test("q03 matches DuckDB") {
     TpcDsLite.registerViews(spark, sf)
     Oracle.assertEquivalent(
-      spark.sql(TpcDsQueries.byId("q03").sql),
+      spark.sql(sqlOf("q03")),
       """SELECT d_year::INT AS d_year, i_brand, SUM(ss_sales_price::DOUBLE) AS sum_agg
         |FROM store_sales, date_dim, item
         |WHERE ss_sold_date_sk = d_date_sk AND ss_item_sk = i_item_sk
@@ -73,7 +75,7 @@ class TpcDsLiteSpec extends SparkSpec {
   test("q96 (count) matches DuckDB") {
     TpcDsLite.registerViews(spark, sf)
     Oracle.assertEquivalent(
-      spark.sql(TpcDsQueries.byId("q96").sql),
+      spark.sql(sqlOf("q96")),
       """SELECT COUNT(*) AS cnt FROM store_sales, store, date_dim
         |WHERE ss_store_sk = s_store_sk AND ss_sold_date_sk = d_date_sk
         |AND s_state = 'TX' AND d_moy::INT = 6""".stripMargin,
@@ -84,7 +86,7 @@ class TpcDsLiteSpec extends SparkSpec {
 
   test("q88-like query merges its 8 bucket aggregates and matches DuckDB") {
     TpcDsLite.registerViews(spark, sf)
-    val res = SharedWork.optimize(spark, spark.sql(TpcDsQueries.byId("q88").sql))
+    val res = SharedWork.optimize(spark, spark.sql(sqlOf("q88")))
     assert(res.sharedSubplans == 1, "the 8 buckets filter one store_sales-store aggregate")
     // DuckDB reads every column as VARCHAR; the CTEs type the ones q88 uses
     Oracle.assertEquivalent(
@@ -92,7 +94,7 @@ class TpcDsLiteSpec extends SparkSpec {
       """WITH store_sales AS (SELECT ss_store_sk::INT AS ss_store_sk, ss_quantity::INT AS ss_quantity
         |  FROM ss_raw),
         |store AS (SELECT s_store_sk::INT AS s_store_sk, s_state FROM store_raw)
-        |""".stripMargin + TpcDsQueries.byId("q88").sql,
+        |""".stripMargin + sqlOf("q88"),
       "ss_raw" -> TpcDsLite.storeSales(spark, sf).select("ss_store_sk", "ss_quantity"),
       "store_raw" -> TpcDsLite.store(spark))
   }
@@ -100,13 +102,13 @@ class TpcDsLiteSpec extends SparkSpec {
   test("optimize leaves Spark's cache empty") {
     TpcDsLite.registerViews(spark, sf)
     spark.catalog.clearCache()
-    new HiveOptimizer(spark, None).optimize(spark.sql(TpcDsQueries.byId("q88").sql)).df.collect()
+    new HiveOptimizer(spark, None).optimize(spark.sql(sqlOf("q88"))).df.collect()
     assert(spark.sharedState.cacheManager.isEmpty)
   }
 
   test("q92c correlated scalar subquery returns plausible values") {
     TpcDsLite.registerViews(spark, sf)
-    val v = spark.sql(TpcDsQueries.byId("q92c").sql).collect()(0).getDouble(0)
+    val v = spark.sql(sqlOf("q92c")).collect()(0).getDouble(0)
     assert(v > 0, "excess-price sum should be positive")
   }
 }
